@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cardpi/internal/conformal"
 	"cardpi/internal/obs"
@@ -70,7 +71,9 @@ func (r *ring) p99() float64 {
 // CardinalityInterval to convert an interval to row counts. Unlike the
 // static wrappers, Adaptive is mutable — it guards its calibration state
 // with a mutex, so Interval, Observe, and every accessor are safe for
-// concurrent use from multiple goroutines.
+// concurrent use from multiple goroutines. The monitor's read side —
+// Drifted, RollingCoverage, DriftStatistic — reads an atomically published
+// snapshot instead of taking the mutex (see monitorSnapshot).
 type Adaptive struct {
 	mu     sync.Mutex
 	model  Estimator
@@ -91,6 +94,10 @@ type Adaptive struct {
 	widths  ring
 	alarmed bool // last drift-alarm state, for edge-triggered counting
 
+	// snap is the monitor's read side, republished under mu after every
+	// change to the martingale or the coverage ring.
+	snap atomic.Pointer[monitorSnapshot]
+
 	// onRecal, when set, fires after every committed recalibration (see
 	// OnRecalibrate).
 	onRecal func()
@@ -101,6 +108,29 @@ type Adaptive struct {
 	droppedTotal *obs.Counter
 	recalTotal   *obs.Counter
 	widthHist    *obs.Histogram
+}
+
+// monitorSnapshot is one consistent reading of the drift monitor. Observe
+// and the recalibration commit build a fresh one while still holding the
+// lock, after the martingale and the coverage ring have been updated, and
+// publish it with one atomic store; readers load it without the lock. The
+// store happens under the lock, so snapshots are published in the same
+// order as the state changes they describe and the latest one always
+// matches the state a locked read would see.
+type monitorSnapshot struct {
+	drifted   bool
+	coverage  float64
+	statistic float64
+}
+
+// publishLocked stores a fresh monitor snapshot; the caller holds a.mu (or
+// owns a not yet shared Adaptive).
+func (a *Adaptive) publishLocked() {
+	a.snap.Store(&monitorSnapshot{
+		drifted:   a.mart.Rejects(a.significance),
+		coverage:  a.hits.mean(),
+		statistic: a.mart.MaxLogValue(),
+	})
 }
 
 // AdaptiveConfig configures NewAdaptive.
@@ -144,6 +174,7 @@ func NewAdaptive(model Estimator, initial *workload.Workload, score conformal.Sc
 		score: score, alpha: cfg.Alpha, window: cfg.Window,
 		significance: cfg.Significance,
 	}
+	a.publishLocked()
 	if cfg.Metrics != nil {
 		a.registerMetrics(cfg.Metrics)
 	}
@@ -159,8 +190,9 @@ func NewAdaptive(model Estimator, initial *workload.Workload, score conformal.Sc
 }
 
 // registerMetrics publishes the adaptive telemetry on reg, labeled by model
-// name. Gauge callbacks lock the wrapper's mutex, so scrapes are consistent
-// with concurrent Observe/Interval traffic.
+// name. The coverage and drift-statistic gauges read the monitor snapshot;
+// the width gauges and calibration size lock the wrapper's mutex. Either
+// way scrapes are consistent with concurrent Observe/Interval traffic.
 func (a *Adaptive) registerMetrics(reg *obs.Registry) {
 	model := obs.L("model", a.model.Name())
 	a.obsTotal = reg.Counter("cardpi_adaptive_observations_total",
@@ -176,7 +208,7 @@ func (a *Adaptive) registerMetrics(reg *obs.Registry) {
 		obs.WidthBuckets, model)
 	reg.GaugeFunc("cardpi_adaptive_coverage",
 		"Rolling empirical coverage over the last observations (target is 1-alpha).",
-		func() float64 { a.mu.Lock(); defer a.mu.Unlock(); return a.hits.mean() }, model)
+		a.RollingCoverage, model)
 	reg.GaugeFunc("cardpi_adaptive_width_mean",
 		"Rolling mean interval width in normalised selectivity units.",
 		func() float64 { a.mu.Lock(); defer a.mu.Unlock(); return a.widths.mean() }, model)
@@ -188,7 +220,7 @@ func (a *Adaptive) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(a.CalibrationSize()) }, model)
 	reg.GaugeFunc("cardpi_adaptive_drift_statistic",
 		"Running maximum of the restarted log power martingale (drift evidence).",
-		func() float64 { return a.DriftStatistic() }, model)
+		a.DriftStatistic, model)
 	reg.GaugeFunc("cardpi_adaptive_drift_threshold",
 		"Ville rejection threshold log(1/significance); an alarm fires when the drift statistic crosses it.",
 		func() float64 { return math.Log(1 / a.significance) }, model)
@@ -263,6 +295,7 @@ func (a *Adaptive) Observe(q workload.Query, trueSel float64) {
 		a.alarmed = true
 		alarmEdge = true
 	}
+	a.publishLocked()
 	a.mu.Unlock()
 	if a.obsTotal != nil {
 		a.obsTotal.Inc()
@@ -275,12 +308,9 @@ func (a *Adaptive) Observe(q workload.Query, trueSel float64) {
 // Drifted reports whether the exchangeability monitor has fired: the score
 // stream is no longer consistent with the calibration distribution, so the
 // coverage guarantee is suspect and recalibration (or model retraining) is
-// warranted. Safe for concurrent use.
-func (a *Adaptive) Drifted() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.mart.Rejects(a.significance)
-}
+// warranted. Safe for concurrent use; reads the monitor snapshot without
+// locking.
+func (a *Adaptive) Drifted() bool { return a.snap.Load().drifted }
 
 // Recalibrate acknowledges a drift alarm: it resets the exchangeability
 // monitor and the edge-triggered alarm latch, and — when wl is non-nil —
@@ -364,6 +394,7 @@ func (a *Adaptive) recalibrate(model Estimator, wl *workload.Workload) error {
 	a.alarmed = false
 	a.hits = ring{}
 	a.widths = ring{}
+	a.publishLocked()
 	hook := a.onRecal
 	a.mu.Unlock()
 	if a.recalTotal != nil {
@@ -390,12 +421,8 @@ func (a *Adaptive) OnRecalibrate(fn func()) {
 
 // DriftStatistic exposes the running maximum of the restarted log
 // martingale for dashboards/alerts; compare against log(1/significance).
-// Safe for concurrent use.
-func (a *Adaptive) DriftStatistic() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.mart.MaxLogValue()
-}
+// Safe for concurrent use; reads the monitor snapshot without locking.
+func (a *Adaptive) DriftStatistic() float64 { return a.snap.Load().statistic }
 
 // CalibrationSize returns the number of scores currently calibrating. Safe
 // for concurrent use.
@@ -407,12 +434,9 @@ func (a *Adaptive) CalibrationSize() int {
 
 // RollingCoverage returns the empirical coverage over the most recent
 // observations (up to the telemetry window), or NaN before the first
-// Observe. Target is 1−alpha. Safe for concurrent use.
-func (a *Adaptive) RollingCoverage() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.hits.mean()
-}
+// Observe. Target is 1−alpha. Safe for concurrent use; reads the monitor
+// snapshot without locking.
+func (a *Adaptive) RollingCoverage() float64 { return a.snap.Load().coverage }
 
 // CardinalityInterval converts a selectivity interval into cardinality
 // units (row counts) for a query whose normalisation constant (table size

@@ -406,3 +406,86 @@ func TestAdaptiveRecalibrateRace(t *testing.T) {
 		t.Error(msg)
 	}
 }
+
+// TestAdaptiveMonitorSnapshotConcurrent races Observe (on a drifting
+// stream, so the alarm fires and clears) against lock-free Drifted /
+// RollingCoverage / DriftStatistic readers and RecalibrateModel commits.
+// Every snapshot a reader loads must be internally consistent, and once the
+// writers stop the published snapshot must equal what the locked state
+// computes. Run under -race it also proves readers never touch guarded
+// state.
+func TestAdaptiveMonitorSnapshotConcurrent(t *testing.T) {
+	model, _, _, cal, test := fixture(t)
+	a, err := NewAdaptive(model, cal, conformal.ResidualScore{},
+		AdaptiveConfig{Alpha: 0.1, Seed: 5, Significance: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	threshold := math.Log(1 / a.significance)
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	errCh := make(chan string, 16)
+	report := func(msg string) {
+		select {
+		case errCh <- msg:
+		default:
+		}
+	}
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 400; i++ {
+				lq := test.Queries[(w*400+i)%len(test.Queries)]
+				a.Observe(lq.Query, math.Min(1, lq.Sel+0.3))
+			}
+		}(w)
+	}
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 20; i++ {
+			if err := a.RecalibrateModel(model, cal); err != nil {
+				report("RecalibrateModel: " + err.Error())
+				return
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s := a.snap.Load()
+				if s.drifted != (s.statistic >= threshold) {
+					report("snapshot drifted flag disagrees with its own statistic")
+				}
+				if c := s.coverage; !math.IsNaN(c) && (c < 0 || c > 1) {
+					report("snapshot coverage outside [0, 1]")
+				}
+				_, _, _ = a.Drifted(), a.RollingCoverage(), a.DriftStatistic()
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	close(errCh)
+	for msg := range errCh {
+		t.Error(msg)
+	}
+	a.mu.Lock()
+	wantDrift, wantCov, wantStat := a.mart.Rejects(a.significance), a.hits.mean(), a.mart.MaxLogValue()
+	a.mu.Unlock()
+	if a.Drifted() != wantDrift ||
+		math.Float64bits(a.RollingCoverage()) != math.Float64bits(wantCov) ||
+		math.Float64bits(a.DriftStatistic()) != math.Float64bits(wantStat) {
+		t.Fatalf("published snapshot (%v, %v, %v) != locked state (%v, %v, %v)",
+			a.Drifted(), a.RollingCoverage(), a.DriftStatistic(), wantDrift, wantCov, wantStat)
+	}
+}

@@ -326,3 +326,66 @@ func TestIntervalBatchAllocsLocalized(t *testing.T) {
 	qs := queriesOf(parts[1])[:256]
 	assertConstantBatchAllocs(t, lcp, qs)
 }
+
+// TestLocalizedIntervalMatchesBatchRow pins the scalar lcp path to the batch
+// kernel: every Interval equals its IntervalBatch row bit for bit, with and
+// without the append featurizer, for neighbourhoods that take the tree, the
+// bounded-heap scan and the quickselect branches (K == calibration size
+// included), and for feature vectors carrying NaN or ±Inf — in the query
+// only (the tree is built, the poisoned query falls back to a scan) or in
+// the calibration set too (no tree at all).
+func TestLocalizedIntervalMatchesBatchRow(t *testing.T) {
+	tab, err := dataset.GenerateDMV(dataset.GenConfig{Rows: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := workload.Generate(tab, workload.Config{Count: 600, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := wl.Split(2, 0.5, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, qs := parts[0], queriesOf(parts[1])
+	model := histogram.NewSingle(tab, histogram.Config{})
+	feat := estimator.NewFeaturizer(tab)
+	// poison overwrites the first feature of every third query with NaN,
+	// +Inf or -Inf, keyed on the query so both featurizers agree.
+	var poisonOn bool
+	poison := func(q workload.Query, f []float64) []float64 {
+		if !poisonOn || len(q.Preds) == 0 || len(f) == 0 {
+			return f
+		}
+		switch q.Preds[0].Lo % 9 {
+		case 0:
+			f[0] = math.NaN()
+		case 3:
+			f[0] = math.Inf(1)
+		case 6:
+			f[0] = math.Inf(-1)
+		}
+		return f
+	}
+	ff := func(q workload.Query) []float64 { return poison(q, feat.Featurize(q)) }
+	aff := func(q workload.Query, dst []float64) []float64 { return poison(q, feat.AppendFeaturize(q, dst)) }
+	n := len(cal.Queries)
+	for _, k := range []int{5, n / 4, n} {
+		for _, poisonCal := range []bool{false, true} {
+			poisonOn = poisonCal
+			lcp, err := WrapLocalized(model, cal, ff, conformal.ResidualScore{}, 0.1, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poisonOn = true
+			for _, af := range []AppendFeatureFunc{nil, aff} {
+				lcp.SetAppendFeatures(af)
+				batch, err := lcp.IntervalBatch(qs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, batch, seqIntervals(t, lcp, qs))
+			}
+		}
+	}
+}

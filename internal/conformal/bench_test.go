@@ -88,19 +88,3 @@ func BenchmarkOnlineAdd(b *testing.B) {
 		o.Add(r.Float64(), r.Float64())
 	}
 }
-
-func BenchmarkMartingaleObserve(b *testing.B) {
-	m, err := NewPowerMartingale(0.1, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(5))
-	// Keep the history bounded so the benchmark measures steady state.
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if len(m.past) > 4096 {
-			m, _ = NewPowerMartingale(0.1, 4)
-		}
-		m.Observe(r.Float64())
-	}
-}

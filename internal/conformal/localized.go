@@ -65,40 +65,19 @@ func CalibrateLocalized(feats [][]float64, preds, truths []float64, score Score,
 }
 
 // Interval computes the locally calibrated interval for a query with the
-// given feature vector and point prediction.
+// given feature vector and point prediction. It is the batch kernel applied
+// to one row: neighbours come from the prebuilt index with a pooled scratch
+// buffer set, so a single query never sorts the calibration set and
+// allocates nothing once the pool is warm. Bit-identical to the matching
+// Intervals row.
 func (l *Localized) Interval(feat []float64, pred float64) (Interval, error) {
-	delta, err := l.LocalDelta(feat)
+	s := knnScratchPool.Get().(*knnScratch)
+	delta, err := l.localDelta(feat, s)
+	knnScratchPool.Put(s)
 	if err != nil {
 		return Interval{}, err
 	}
 	return l.score.Interval(pred, delta), nil
-}
-
-// LocalDelta returns the threshold calibrated from the K nearest
-// calibration points. This is the readable full-sort reference the batch
-// path (Deltas) is proven bit-identical against: distances tie-break on the
-// calibration index, giving a total order that both implementations share.
-func (l *Localized) LocalDelta(feat []float64) (float64, error) {
-	type ds struct {
-		d float64
-		s float64
-		i int
-	}
-	all := make([]ds, len(l.feats))
-	for i, f := range l.feats {
-		all[i] = ds{d: sqDist(f, feat), s: l.scores[i], i: i}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].d != all[j].d {
-			return all[i].d < all[j].d
-		}
-		return all[i].i < all[j].i
-	})
-	local := make([]float64, l.K)
-	for i := 0; i < l.K; i++ {
-		local[i] = all[i].s
-	}
-	return Quantile(local, l.Alpha)
 }
 
 // knnScratch holds the reusable buffers of the batch kNN path so a whole
@@ -122,17 +101,17 @@ var knnScratchPool = sync.Pool{New: func() any { return new(knnScratch) }}
 // calibration set, heavy enough that small blocks amortise the fan-out.
 const lcpMinBlock = 8
 
-// Deltas computes LocalDelta for every feature row, writing the thresholds
-// into out (len(out) must equal len(feats)). Rows are sharded in contiguous
-// blocks over the batch worker pool (par.RunBlocks); each block worker
-// selects neighbours through the prebuilt index — k-d tree descent,
+// Deltas computes the local threshold of every feature row, writing the
+// thresholds into out (len(out) must equal len(feats)). Rows are sharded in
+// contiguous blocks over the batch worker pool (par.RunBlocks); each block
+// worker selects neighbours through the prebuilt index — k-d tree descent,
 // early-abandoning bounded-heap scan, or quickselect partial selection
 // depending on dimensionality and K — with its own pooled scratch buffer
 // set, and never performs a full calibration-set sort per query. Per-row
-// results are bit-identical to LocalDelta for any worker count; on failure
-// the lowest-indexed failing row's error is returned (every row is still
-// attempted). Safe for concurrent use: the calibration state is read-only
-// after construction.
+// results are bit-identical to the full-sort reference (LocalDelta in the
+// package tests) for any worker count; on failure the lowest-indexed
+// failing row's error is returned (every row is still attempted). Safe for
+// concurrent use: the calibration state is read-only after construction.
 func (l *Localized) Deltas(feats [][]float64, out []float64) error {
 	if len(feats) != len(out) {
 		return fmt.Errorf("conformal: %d feature rows vs %d outputs", len(feats), len(out))

@@ -2,8 +2,37 @@ package conformal
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// LocalDelta returns the threshold calibrated from the K nearest
+// calibration points. This is the readable full-sort reference the
+// production kernel (localDelta, behind Interval, Deltas and Intervals) is
+// proven bit-identical against: distances tie-break on the calibration
+// index, giving a total order that both implementations share.
+func (l *Localized) LocalDelta(feat []float64) (float64, error) {
+	type ds struct {
+		d float64
+		s float64
+		i int
+	}
+	all := make([]ds, len(l.feats))
+	for i, f := range l.feats {
+		all[i] = ds{d: sqDist(f, feat), s: l.scores[i], i: i}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].d != all[j].d {
+			return all[i].d < all[j].d
+		}
+		return all[i].i < all[j].i
+	})
+	local := make([]float64, l.K)
+	for i := 0; i < l.K; i++ {
+		local[i] = all[i].s
+	}
+	return Quantile(local, l.Alpha)
+}
 
 // localizedSynthetic: two workload regions with different noise scales,
 // encoded in the first feature dimension.

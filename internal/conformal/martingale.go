@@ -26,7 +26,10 @@ type PowerMartingale struct {
 	Epsilon float64
 	rng     *rand.Rand
 
-	past     []float64
+	// past is the score history in an order-statistic multiset, so each
+	// Observe costs O(log n) instead of a scan over every earlier score.
+	// It grows by 8–12 bytes per observation until Reset.
+	past     orderedScores
 	logM     float64
 	cusum    float64
 	maxCusum float64
@@ -45,16 +48,10 @@ func NewPowerMartingale(epsilon float64, seed int64) (*PowerMartingale, error) {
 // Observe processes the next score in the stream and returns the smoothed
 // conformal p-value it produced.
 func (m *PowerMartingale) Observe(score float64) float64 {
-	greater, equal := 0, 0
-	for _, s := range m.past {
-		switch {
-		case s > score:
-			greater++
-		case s == score:
-			equal++
-		}
-	}
-	n := len(m.past) + 1
+	// NaN scores count towards n but are never greater than or equal to
+	// anything, in either direction.
+	greater, equal := m.past.counts(score)
+	n := m.past.Len() + 1
 	// Smoothed p-value: ties (including the new point itself) are broken
 	// uniformly, which makes the p-values exactly uniform under
 	// exchangeability.
@@ -63,7 +60,7 @@ func (m *PowerMartingale) Observe(score float64) float64 {
 	if p <= 0 {
 		p = 1.0 / float64(2*n)
 	}
-	m.past = append(m.past, score)
+	m.past.insert(score)
 	inc := math.Log(m.Epsilon) + (m.Epsilon-1)*math.Log(p)
 	m.logM += inc
 	if m.cusum < 0 {
@@ -76,13 +73,13 @@ func (m *PowerMartingale) Observe(score float64) float64 {
 	return p
 }
 
-// Reset clears the observed score history and every detection statistic,
-// restarting the martingale from scratch — the acknowledgement step after a
-// drift alarm has been acted on (recalibration or retraining). The
-// tie-breaking RNG keeps its stream, so a Reset does not replay the same
-// randomisation.
+// Reset clears the observed score history, releasing its storage, and
+// every detection statistic, restarting the martingale from scratch — the
+// acknowledgement step after a drift alarm has been acted on
+// (recalibration or retraining). The tie-breaking RNG keeps its stream, so
+// a Reset does not replay the same randomisation.
 func (m *PowerMartingale) Reset() {
-	m.past = m.past[:0]
+	m.past.reset()
 	m.logM = 0
 	m.cusum = 0
 	m.maxCusum = 0

@@ -336,9 +336,21 @@ func WrapLocalized(model Estimator, cal *workload.Workload, feats FeatureFunc,
 // Name implements PI.
 func (l *Localized) Name() string { return "lcp/" + l.model.Name() }
 
-// Interval implements PI.
+// Interval implements PI. It is IntervalBatch's kernel applied to one row:
+// the features land in a pooled buffer when an AppendFeatureFunc is set, and
+// the neighbours come from the calibration-time index, so the result is
+// bit-identical to the query's IntervalBatch row.
 func (l *Localized) Interval(q workload.Query) (Interval, error) {
-	iv, err := l.lcp.Interval(l.feats(q), l.model.EstimateSelectivity(q))
+	var feat []float64
+	if l.appendFeats == nil {
+		feat = l.feats(q)
+	} else {
+		fs := featPool.Get().(*featScratch)
+		defer featPool.Put(fs)
+		fs.flat = l.appendFeats(q, fs.flat[:0])
+		feat = fs.flat
+	}
+	iv, err := l.lcp.Interval(feat, l.model.EstimateSelectivity(q))
 	if err != nil {
 		return Interval{}, err
 	}
