@@ -1,6 +1,7 @@
 package cardpi
 
 import (
+	"context"
 	"sync"
 
 	"cardpi/internal/estimator"
@@ -34,18 +35,33 @@ const (
 	ratioMinBlock   = 64
 )
 
-// IntervalBatch answers all queries with pi: through its native batch path
-// when pi implements BatchPI, and otherwise by fanning the per-query
-// Interval calls over the bounded worker pool. Either way the result is
-// aligned with qs and element-wise identical to sequential Interval calls;
-// on failure the error of the lowest-indexed failing query is returned.
+// IntervalBatch answers all queries with pi without a deadline; see
+// IntervalBatchCtx.
 func IntervalBatch(pi PI, qs []workload.Query) ([]Interval, error) {
+	return IntervalBatchCtx(context.Background(), pi, qs)
+}
+
+// IntervalBatchCtx answers all queries with pi under ctx: through its native
+// batch path when pi implements BatchPI (ctx is checked once, before the
+// kernel — batch kernels are pure CPU), and otherwise by fanning one
+// IntervalCtx per query over the bounded worker pool, so context-aware
+// stages observe the deadline row by row. An Instrumented pi forwards ctx
+// to what it wraps. Either way the result is aligned with qs and
+// element-wise identical to sequential Interval calls; on failure the error
+// of the lowest-indexed failing query is returned.
+func IntervalBatchCtx(ctx context.Context, pi PI, qs []workload.Query) ([]Interval, error) {
+	if in, ok := pi.(*Instrumented); ok {
+		return in.IntervalBatchCtx(ctx, qs)
+	}
 	if bp, ok := pi.(BatchPI); ok {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		return bp.IntervalBatch(qs)
 	}
 	out := make([]Interval, len(qs))
 	err := par.ForEach(len(qs), func(i int) error {
-		iv, err := pi.Interval(qs[i])
+		iv, err := IntervalCtx(ctx, pi, qs[i])
 		if err != nil {
 			return err
 		}

@@ -169,3 +169,15 @@ func TestServeEstimateErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestServeRejectsUnboundedWindow: `cardpi serve -window 0` fails at startup,
+// before any training, instead of running a monitor whose calibration set
+// grows for the life of the server.
+func TestServeRejectsUnboundedWindow(t *testing.T) {
+	for _, w := range []string{"0", "-5"} {
+		err := runServe([]string{"-window", w, "-model", "histogram"})
+		if err == nil || !strings.Contains(err.Error(), "-window must be >= 1") {
+			t.Fatalf("-window %s: err = %v, want a -window must be >= 1 error", w, err)
+		}
+	}
+}

@@ -88,7 +88,7 @@ func runServe(args []string) error {
 		alpha    = fs.Float64("alpha", 0.1, "miscoverage level (coverage = 1-alpha)")
 		queries  = fs.Int("queries", 2000, "training+calibration workload size")
 		seed     = fs.Int64("seed", 1, "random seed")
-		window   = fs.Int("window", 2000, "adaptive monitor's sliding calibration window (0 = unbounded)")
+		window   = fs.Int("window", 2000, "adaptive monitor's sliding calibration window (>= 1)")
 		csvPath  = fs.String("csv", "", "load the table from a CSV file instead of generating one (with -artifact: the CSV the artifact was trained on)")
 		drain    = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 
@@ -104,7 +104,6 @@ func runServe(args []string) error {
 		smokeCount = fs.Int("smoke-queries", registry.DefaultSmokeQueries, "calibration queries the /admin/promote bit-identity smoke check compares")
 
 		cacheEntries = fs.Int("cache-entries", 0, "interval-cache capacity per serving unit (0 = cache off); see OPERATIONS.md for sizing")
-		cacheShards  = fs.Int("cache-shards", 0, "interval-cache lock shards, rounded up to a power of two (0 = default 8)")
 
 		recalOn       = fs.Bool("recal", true, "run the closed-loop drift recalibration supervisor on the default serving unit (see RELIABILITY.md)")
 		recalWindow   = fs.Int("recal-window", 1024, "labeled observations the recalibration supervisor keeps in its rolling window")
@@ -128,6 +127,11 @@ func runServe(args []string) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %q (serve takes queries over HTTP, not argv)", fs.Args())
+	}
+	if *window < 1 {
+		// An unbounded monitor window grows its calibration set (and the
+		// per-observation insertion cost) without limit over a server's life.
+		return fmt.Errorf("-window must be >= 1 (got %d): a long-running server needs a bounded monitor window", *window)
 	}
 	// One process-wide knob: every row-block-sharded kernel (model forward
 	// passes, conformal interval production, featurisation) fans over this
@@ -187,9 +191,9 @@ func runServe(args []string) error {
 		maxBatch:        *maxBatch,
 		breakerFailures: *brFailures, breakerOpen: *brOpen,
 		registryCache: *regCache, smokeQueries: *smokeCount,
-		cacheEntries: *cacheEntries, cacheShards: *cacheShards,
-		metrics: obs.Default(),
-		source:  src,
+		cacheEntries: *cacheEntries,
+		metrics:      obs.Default(),
+		source:       src,
 		recal: recalOpts{
 			enabled: *recalOn, window: *recalWindow, minObserved: *recalMinObs,
 			maxAttempts: *recalAttempts, backoff: *recalBackoff,
@@ -311,10 +315,8 @@ type serveOpts struct {
 	// registry.DefaultSmokeQueries.
 	smokeQueries int
 	// cacheEntries sizes each serving unit's epoch-invalidated interval
-	// cache (internal/cache); 0 disables caching entirely. cacheShards is
-	// the cache's lock-shard count (0 = package default).
+	// cache (internal/cache); 0 disables caching entirely.
 	cacheEntries int
-	cacheShards  int
 	metrics      *obs.Registry
 	// source records the model's provenance; nil means trained in-process
 	// (tests that assemble a Setup by hand take this default).
@@ -423,7 +425,6 @@ type unitOpts struct {
 	// by newServer so they land in the served registry, not the unit's
 	// possibly-private one).
 	cacheEntries int
-	cacheShards  int
 	cacheEpoch   *cache.Epoch
 	cacheMetrics *cache.Metrics
 }
@@ -477,8 +478,7 @@ func newServingUnit(s *pipeline.Setup, o unitOpts) (*servingUnit, error) {
 	u.chain.Store(&servingChain{model: s.Model, resilient: resilient})
 	if o.cacheEntries > 0 {
 		u.cache = cache.New(cache.Config{
-			Entries: o.cacheEntries, Shards: o.cacheShards,
-			Epoch: o.cacheEpoch, Metrics: o.cacheMetrics,
+			Entries: o.cacheEntries, Epoch: o.cacheEpoch, Metrics: o.cacheMetrics,
 		})
 		// Any committed recalibration — the supervisor's swap, an admin
 		// trigger, a direct call — lands after the adaptive monitor's new
@@ -555,17 +555,10 @@ type server struct {
 	waiters  atomic.Int64
 	maxQueue int64
 
-	reqOK           *obs.Counter
-	reqBad          *obs.Counter
-	reqShed         *obs.Counter
+	single, batch   endpointMetrics
 	shed            *obs.Counter
 	inflight        *obs.IntGauge
-	lat             *obs.Histogram
-	batchOK         *obs.Counter
-	batchBad        *obs.Counter
-	batchShed       *obs.Counter
 	batchSize       *obs.Histogram
-	batchLat        *obs.Histogram
 	batchWireJSON   *obs.Counter
 	batchWireBinary *obs.Counter
 	metricsHandler  http.Handler
@@ -577,24 +570,30 @@ type server struct {
 	scratch sync.Pool
 }
 
+// endpointMetrics are one estimate endpoint's request instruments.
+type endpointMetrics struct {
+	ok, bad, shed *obs.Counter
+	lat           *obs.Histogram
+}
+
 // serveScratch is one pooled per-request buffer set. Slices are sized from
 // -max-batch at construction and retain their capacity across requests.
 type serveScratch struct {
 	buf     bytes.Buffer       // response encode buffer (JSON and binary)
 	body    []byte             // raw request body (binary wire path)
 	rawQ    [][]byte           // zero-copy query views into body
-	lines   []string           // query texts (binary wire path)
+	lines   []string           // query texts (single-query and binary wire paths)
 	qs      []workload.Query   // parsed queries
 	results []estimateResponse // per-query replies
 	wire    []codec.WireResult // binary response frames
 	depths  []int              // per-query chain depths
 
-	// Interval-cache batch state (unused when -cache-entries is 0).
-	keys    []cache.Key      // per-query canonical hashes
+	// Request-core state (see servingUnit.estimate).
 	cres    []cache.Result   // per-query cached/computed cores
-	hits    []bool           // per-query hit markers
-	missQs  []workload.Query // cold queries, in batch order
-	missIdx []int            // cold queries' positions in the batch
+	cached  []bool           // per-query: served without running the chain
+	flights []*cache.Flight  // per-query claimed flight (nil: hit or cache off)
+	lead    []int            // rows this request computes, in batch order
+	leadQs  []workload.Query // their queries, when not the whole batch
 }
 
 // batchSizeBuckets are the histogram bounds for /estimate/batch sizes:
@@ -625,18 +624,24 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 	if o.cacheEntries > 0 {
 		epoch = new(cache.Epoch)
 	}
-	defUnit := unitOpts{
-		alpha: o.alpha, window: o.window, seed: o.seed,
-		breakerFailures: o.breakerFailures, breakerOpen: o.breakerOpen,
-		metrics: o.metrics,
+	// unitFor builds one unit's options. Registry-loaded bundles freeze their
+	// own alpha/seed in the manifest; the per-server knobs (window, breaker
+	// tuning, cache) apply uniformly. Unit-labeled cache instruments go to
+	// the served registry (the obs families collide only on identical label
+	// sets); nil metrics keep everything else on a private registry.
+	unitFor := func(alpha float64, seed int64, label string, metrics *obs.Registry) unitOpts {
+		uo := unitOpts{
+			alpha: alpha, window: o.window, seed: seed,
+			breakerFailures: o.breakerFailures, breakerOpen: o.breakerOpen,
+			metrics: metrics,
+		}
+		if epoch != nil {
+			uo.cacheEntries, uo.cacheEpoch = o.cacheEntries, epoch
+			uo.cacheMetrics = cache.NewMetrics(o.metrics, obs.L("unit", label))
+		}
+		return uo
 	}
-	if epoch != nil {
-		defUnit.cacheEntries = o.cacheEntries
-		defUnit.cacheShards = o.cacheShards
-		defUnit.cacheEpoch = epoch
-		defUnit.cacheMetrics = cache.NewMetrics(o.metrics, obs.L("unit", "default"))
-	}
-	def, err := newServingUnit(s, defUnit)
+	def, err := newServingUnit(s, unitFor(o.alpha, o.seed, "default", o.metrics))
 	if err != nil {
 		return nil, err
 	}
@@ -662,27 +667,8 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 		}
 		def.recal = sup
 	}
-	// Registry-loaded bundles freeze their own alpha/seed in the manifest;
-	// the per-server knobs (window, breaker tuning) apply uniformly.
-	unitBase := unitOpts{
-		window:          o.window,
-		breakerFailures: o.breakerFailures,
-		breakerOpen:     o.breakerOpen,
-	}
 	reg := registry.New(func(k registry.Key, ref *registry.BundleRef, rs *pipeline.Setup) (*servingUnit, error) {
-		uo := unitBase
-		uo.alpha = ref.Manifest.Alpha
-		uo.seed = ref.Manifest.Seed
-		if epoch != nil {
-			// Unit-labeled cache instruments go to the served registry (the
-			// obs families collide only on identical label sets); everything
-			// else stays on the unit's private registry.
-			uo.cacheEntries = o.cacheEntries
-			uo.cacheShards = o.cacheShards
-			uo.cacheEpoch = epoch
-			uo.cacheMetrics = cache.NewMetrics(o.metrics, obs.L("unit", k.String()))
-		}
-		return newServingUnit(rs, uo) // nil metrics → private registry per unit
+		return newServingUnit(rs, unitFor(ref.Manifest.Alpha, ref.Manifest.Seed, k.String(), nil))
 	}, registry.Options{
 		CacheSize:    o.registryCache,
 		SmokeQueries: o.smokeQueries,
@@ -704,22 +690,19 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 	}
 	maxBatchCap := o.maxBatch
 	srv.scratch.New = func() any {
-		sc := &serveScratch{
+		return &serveScratch{
 			rawQ:    make([][]byte, 0, maxBatchCap),
 			lines:   make([]string, 0, maxBatchCap),
 			qs:      make([]workload.Query, 0, maxBatchCap),
 			results: make([]estimateResponse, 0, maxBatchCap),
 			wire:    make([]codec.WireResult, 0, maxBatchCap),
 			depths:  make([]int, 0, maxBatchCap),
+			cres:    make([]cache.Result, 0, maxBatchCap),
+			cached:  make([]bool, 0, maxBatchCap),
+			flights: make([]*cache.Flight, 0, maxBatchCap),
+			lead:    make([]int, 0, maxBatchCap),
+			leadQs:  make([]workload.Query, 0, maxBatchCap),
 		}
-		if epoch != nil {
-			sc.keys = make([]cache.Key, 0, maxBatchCap)
-			sc.cres = make([]cache.Result, 0, maxBatchCap)
-			sc.hits = make([]bool, 0, maxBatchCap)
-			sc.missQs = make([]workload.Query, 0, maxBatchCap)
-			sc.missIdx = make([]int, 0, maxBatchCap)
-		}
-		return sc
 	}
 	if ms := o.source; ms.origin == "artifact" {
 		// A constant-1 info gauge: the provenance travels in the labels, so
@@ -734,28 +717,24 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 	}
 	// Resolve (and thereby pre-create, so /metrics shows the families at 0
 	// before any traffic) the serving instruments.
-	srv.reqOK = o.metrics.Counter("cardpi_serve_requests_total",
-		"Completed /estimate requests by response class.", obs.L("class", "ok"))
-	srv.reqBad = o.metrics.Counter("cardpi_serve_requests_total",
-		"Completed /estimate requests by response class.", obs.L("class", "bad_request"))
-	srv.reqShed = o.metrics.Counter("cardpi_serve_requests_total",
-		"Completed /estimate requests by response class.", obs.L("class", "shed"))
+	endpoint := func(requests, seconds, path string) endpointMetrics {
+		help := "Completed " + path + " requests by response class."
+		return endpointMetrics{
+			ok:   o.metrics.Counter(requests, help, obs.L("class", "ok")),
+			bad:  o.metrics.Counter(requests, help, obs.L("class", "bad_request")),
+			shed: o.metrics.Counter(requests, help, obs.L("class", "shed")),
+			lat: o.metrics.Histogram(seconds,
+				"End-to-end "+path+" latency in seconds, admission wait included.", obs.LatencyBuckets),
+		}
+	}
+	srv.single = endpoint("cardpi_serve_requests_total", "cardpi_serve_request_seconds", "/estimate")
+	srv.batch = endpoint("cardpi_serve_batch_requests_total", "cardpi_serve_batch_request_seconds", "/estimate/batch")
 	srv.shed = o.metrics.Counter("cardpi_serve_shed_total",
 		"Requests rejected by admission control (429 + Retry-After).")
 	srv.inflight = o.metrics.IntGauge("cardpi_serve_inflight",
 		"/estimate requests currently holding an execution slot.")
-	srv.lat = o.metrics.Histogram("cardpi_serve_request_seconds",
-		"End-to-end /estimate latency in seconds, admission wait included.", obs.LatencyBuckets)
-	srv.batchOK = o.metrics.Counter("cardpi_serve_batch_requests_total",
-		"Completed /estimate/batch requests by response class.", obs.L("class", "ok"))
-	srv.batchBad = o.metrics.Counter("cardpi_serve_batch_requests_total",
-		"Completed /estimate/batch requests by response class.", obs.L("class", "bad_request"))
-	srv.batchShed = o.metrics.Counter("cardpi_serve_batch_requests_total",
-		"Completed /estimate/batch requests by response class.", obs.L("class", "shed"))
 	srv.batchSize = o.metrics.Histogram("cardpi_serve_batch_size",
 		"Queries per accepted /estimate/batch request.", batchSizeBuckets)
-	srv.batchLat = o.metrics.Histogram("cardpi_serve_batch_request_seconds",
-		"End-to-end /estimate/batch latency in seconds, admission wait included.", obs.LatencyBuckets)
 	srv.batchWireJSON = o.metrics.Counter("cardpi_serve_batch_wire_total",
 		"Answered /estimate/batch requests by negotiated wire format.", obs.L("wire_format", "json"))
 	srv.batchWireBinary = o.metrics.Counter("cardpi_serve_batch_wire_total",
@@ -897,10 +876,11 @@ type estimateResponse struct {
 	Covered  bool    `json:"covered"`
 	Drifted  bool    `json:"drifted"`
 	RollCov  float64 `json:"rolling_coverage"`
-	// Cached marks replies served without executing the estimator chain —
-	// an interval-cache hit or a coalesced follower of an in-flight miss.
-	// All numeric fields are bit-identical to an uncached reply; only the
-	// live telemetry (drifted, rolling_coverage) can differ.
+	// Cached marks replies served without executing the estimator chain:
+	// a cache hit, or a follower of a miss that another request (on either
+	// endpoint) or an earlier row of the same batch is computing. Numeric
+	// fields are bit-identical to an uncached reply; only the live
+	// telemetry (drifted, rolling_coverage) can differ.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -936,12 +916,38 @@ func (s *server) route(w http.ResponseWriter, r *http.Request) (u *servingUnit, 
 	return l.Value, fmt.Sprintf("%s@v%d", key, l.Ref.Version), false, true
 }
 
+// handleEstimate answers GET /estimate?q=...: a batch of one through
+// serveEstimate, replying with the single result object.
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
+	s.serveEstimate(w, r, false)
+}
+
+// handleEstimateBatch answers POST /estimate/batch through serveEstimate.
+// The request Content-Type negotiates the wire format: the default JSON
+// body, or the compact binary frame format (codec.WireContentType) — a
+// binary request gets a binary response.
+func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
+	s.serveEstimate(w, r, true)
+}
+
+// serveEstimate is the one request path behind both estimate endpoints. A
+// request — one query or a whole batch — takes one admission slot, one
+// deadline and one route; its rows run through the unit's estimate core and
+// each reply row is field-for-field what /estimate returns for that query.
+// Any malformed query rejects the whole batch with a 400 naming its index —
+// partial answers would make "which result is which" ambiguous. All
+// request-sized buffers come from the server scratch pool, so a warm server
+// allocates O(1) per request in either wire format.
+func (s *server) serveEstimate(w http.ResponseWriter, r *http.Request, batch bool) {
+	ep := &s.single
+	if batch {
+		ep = &s.batch
+	}
 	start := time.Now()
 	release, ok := s.admit(r.Context())
 	if !ok {
 		s.shed.Inc()
-		s.reqShed.Inc()
+		ep.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "overloaded",
 			"server at capacity; retry after the indicated delay")
@@ -950,74 +956,213 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	defer func() { s.lat.Observe(time.Since(start).Seconds()) }()
+	defer func() { ep.lat.Observe(time.Since(start).Seconds()) }()
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
 
 	u, bundle, degraded, ok := s.route(w, r)
 	if !ok {
-		s.reqBad.Inc()
+		ep.bad.Inc()
 		return
 	}
-	values := r.URL.Query()
-	if !values.Has("q") {
-		s.reqBad.Inc()
-		httpError(w, http.StatusBadRequest, "missing_query",
-			"missing query parameter q, e.g. /estimate?q=state+%%3D+3")
-		return
-	}
-	line := values.Get("q")
-	if line == "" {
-		s.reqBad.Inc()
-		httpError(w, http.StatusBadRequest, "empty_query", "query parameter q is empty")
-		return
-	}
-	if len(line) > maxQueryBytes {
-		s.reqBad.Inc()
-		httpError(w, http.StatusBadRequest, "query_too_long",
-			"query parameter q exceeds %d bytes", maxQueryBytes)
-		return
+	// The epoch snapshot precedes the one resolution of the table and chain
+	// that every row is parsed, computed and rendered against: results
+	// stored under this epoch were computed against state resolved after
+	// it, so swap-then-bump can never leave stale entries reachable
+	// (DESIGN.md "Epoch invalidation").
+	var epoch uint64
+	if u.cache != nil {
+		epoch = u.cache.Epoch().Load()
 	}
 	tab, ch := u.table(), u.current()
-	q, err := workload.ParseQuery(tab, line)
-	if err != nil {
-		s.reqBad.Inc()
-		httpError(w, http.StatusBadRequest, "parse_error", "parse %q: %v", line, err)
-		return
-	}
-
-	var resp estimateResponse
-	if u.cache != nil {
-		resp = u.serveCached(ctx, tab, ch, line, q, bundle, degraded)
-	} else {
-		// The resilient chain never fails: a sick primary degrades through
-		// the fallback stages down to the fail-safe full-domain interval.
-		iv, depth := ch.resilient.IntervalDepthCtx(ctx, q)
-		resp = u.respond(ch, tab, line, q, iv, depth, bundle, degraded)
-	}
-	s.reqOK.Inc()
-	w.Header().Set("Content-Type", "application/json")
 	sc := s.scratch.Get().(*serveScratch)
 	defer s.scratch.Put(sc)
+	lines, binary, bad := s.readQueries(r, sc, tab, batch)
+	if bad != nil {
+		ep.bad.Inc()
+		httpError(w, http.StatusBadRequest, bad.code, "%s", bad.msg)
+		return
+	}
+	if batch {
+		s.batchSize.Observe(float64(len(sc.qs)))
+	}
+
+	u.estimate(ctx, epoch, tab, ch, lines, sc, bundle, degraded)
+	ep.ok.Inc()
+	if binary {
+		s.batchWireBinary.Inc()
+		sc.wire = sc.wire[:0]
+		for i := range sc.results {
+			sc.wire = append(sc.wire, wireResult(&sc.results[i], sc.depths[i]))
+		}
+		sc.body = codec.AppendWireResponse(sc.body[:0], uint64(tab.NumRows()), sc.wire)
+		w.Header().Set("Content-Type", codec.WireContentType)
+		_, _ = w.Write(sc.body)
+		return
+	}
+	var body any = &sc.results[0]
+	if batch {
+		s.batchWireJSON.Inc()
+		body = batchResponse{Count: len(sc.results), Results: sc.results}
+	}
+	w.Header().Set("Content-Type", "application/json")
 	sc.buf.Reset()
 	enc := json.NewEncoder(&sc.buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	_ = enc.Encode(body)
 	_, _ = w.Write(sc.buf.Bytes())
 }
 
-// respond assembles the per-query answer around a served interval. Both
-// /estimate and /estimate/batch go through here, so a query's batch element
-// is field-for-field identical to its single-query reply. ch and tab are the
-// chain and table the handler resolved at admission — passing them through
-// keeps every field of one reply consistent even while a recalibration swap
-// or scenario mutation publishes new pointers mid-request. bundle and
-// degraded carry routing provenance: which registry bundle answered (empty
-// on the unrouted path) and whether a registry fault forced the default
-// unit regardless of the chain depth.
-func (u *servingUnit) respond(ch *servingChain, tab *dataset.Table, line string, q workload.Query, iv cardpi.Interval, depth int, bundle string, degraded bool) estimateResponse {
-	return u.render(ch, tab, line, u.computeResult(ch, tab, q, iv), depth, bundle, degraded, false)
+// badRequest is a 400 reply: a machine-readable code and its message.
+type badRequest struct{ code, msg string }
+
+func reject(code, format string, args ...any) *badRequest {
+	return &badRequest{code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+// readQueries reads the request's query lines — /estimate's q parameter as
+// a batch of one, or /estimate/batch's JSON or binary body, the latter
+// decoded zero-copy into pooled buffers — then validates and parses each
+// against tab into sc.qs.
+func (s *server) readQueries(r *http.Request, sc *serveScratch, tab *dataset.Table, batch bool) (lines []string, binary bool, bad *badRequest) {
+	binary = batch && strings.HasPrefix(r.Header.Get("Content-Type"), codec.WireContentType)
+	switch {
+	case !batch:
+		values := r.URL.Query()
+		if !values.Has("q") {
+			return nil, false, reject("missing_query", "missing query parameter q, e.g. /estimate?q=state+%%3D+3")
+		}
+		sc.lines = append(sc.lines[:0], values.Get("q"))
+		lines = sc.lines
+	case binary:
+		var err error
+		if sc.body, err = appendReadAll(sc.body[:0], r.Body); err != nil {
+			return nil, false, reject("invalid_wire", "read request body: %v", err)
+		}
+		if sc.rawQ, err = codec.DecodeWireRequest(sc.body, sc.rawQ[:0]); err != nil {
+			return nil, false, reject("invalid_wire", "decode binary batch: %v", err)
+		}
+		sc.lines = sc.lines[:0]
+		for _, q := range sc.rawQ {
+			sc.lines = append(sc.lines, string(q))
+		}
+		lines = sc.lines
+	default:
+		var req batchRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			return nil, false, reject("invalid_json", "decode request body: %v (expected {\"queries\": [\"...\"]})", err)
+		}
+		lines = req.Queries
+	}
+	if len(lines) == 0 {
+		return nil, false, reject("empty_batch", "queries list is empty")
+	}
+	if len(lines) > s.maxBatch {
+		return nil, false, reject("batch_too_large", "%d queries exceed the per-request cap of %d", len(lines), s.maxBatch)
+	}
+	name := func(i int) string {
+		if batch {
+			return "query " + strconv.Itoa(i)
+		}
+		return "query parameter q"
+	}
+	sc.qs = sc.qs[:0]
+	for i, line := range lines {
+		if line == "" {
+			return nil, false, reject("empty_query", "%s is empty", name(i))
+		}
+		if len(line) > maxQueryBytes {
+			return nil, false, reject("query_too_long", "%s exceeds %d bytes", name(i), maxQueryBytes)
+		}
+		q, err := workload.ParseQuery(tab, line)
+		if err != nil {
+			if batch {
+				return nil, false, reject("parse_error", "%s: parse %q: %v", name(i), line, err)
+			}
+			return nil, false, reject("parse_error", "parse %q: %v", line, err)
+		}
+		sc.qs = append(sc.qs, q)
+	}
+	return lines, binary, nil
+}
+
+// estimate is the request core behind /estimate (a batch of one) and
+// /estimate/batch. It answers sc.qs into sc.results and sc.depths against
+// the table and chain the caller resolved after snapshotting epoch:
+//
+//  1. Probe: every row is looked up in the unit's cache; a hit replays the
+//     stored core result.
+//  2. Claim: every miss claims its (key, epoch) flight. As leader, this
+//     request computes the row; as follower, it reuses the leader's result —
+//     whether another request or an earlier row of this batch leads it.
+//  3. Compute: all leader rows run through ONE batched resilient-chain call;
+//     their ground truth is counted, the monitor fed, and their flights
+//     finished (depth-0 results are stored).
+//  4. Wait: only then do follower rows wait. A request never waits while it
+//     holds an unfinished flight, so two requests cannot deadlock; and the
+//     compute step cannot panic (the chain and computeResult recover every
+//     fault), so every claimed flight finishes.
+//
+// With the cache off every row is a leader and no flight is claimed.
+func (u *servingUnit) estimate(ctx context.Context, epoch uint64, tab *dataset.Table, ch *servingChain, lines []string, sc *serveScratch, bundle string, degraded bool) {
+	sc.cres, sc.depths = sc.cres[:0], sc.depths[:0]
+	sc.cached, sc.flights = sc.cached[:0], sc.flights[:0]
+	sc.lead = sc.lead[:0]
+	for i, q := range sc.qs {
+		sc.cres = append(sc.cres, cache.Result{})
+		sc.depths = append(sc.depths, 0)
+		sc.cached = append(sc.cached, false)
+		sc.flights = append(sc.flights, nil)
+		if u.cache == nil {
+			sc.lead = append(sc.lead, i)
+			continue
+		}
+		k := cache.KeyOf(q)
+		if r, ok := u.cache.Get(k); ok {
+			sc.cres[i], sc.cached[i] = r, true
+			continue
+		}
+		f, leader := u.cache.Claim(k, epoch)
+		sc.flights[i] = f
+		if leader {
+			sc.lead = append(sc.lead, i)
+		} else {
+			sc.cached[i] = true
+		}
+	}
+	if len(sc.lead) > 0 {
+		qs := sc.qs
+		if len(sc.lead) < len(sc.qs) {
+			sc.leadQs = sc.leadQs[:0]
+			for _, i := range sc.lead {
+				sc.leadQs = append(sc.leadQs, sc.qs[i])
+			}
+			qs = sc.leadQs
+		}
+		// The resilient chain never fails: a sick primary degrades through
+		// the fallback stages down to the fail-safe full-domain interval.
+		ivs, depths := ch.resilient.IntervalBatchDepthCtx(ctx, qs)
+		for j, i := range sc.lead {
+			sc.cres[i] = u.computeResult(ch, tab, sc.qs[i], ivs[j])
+			sc.depths[i] = depths[j]
+			if f := sc.flights[i]; f != nil {
+				// Only depth-0 results are stored: degraded intervals are
+				// transient and must not outlive the fault that caused them.
+				u.cache.Finish(f, sc.cres[i], uint64(depths[j]), depths[j] == 0, nil)
+			}
+		}
+	}
+	for i, f := range sc.flights {
+		if f != nil && sc.cached[i] {
+			r, aux, _ := u.cache.Wait(f) // serve leaders Finish with a nil error
+			sc.cres[i], sc.depths[i] = r, int(aux)
+		}
+	}
+	sc.results = sc.results[:0]
+	for i := range sc.qs {
+		sc.results = append(sc.results, u.render(ch, tab, lines[i], sc.cres[i], sc.depths[i], bundle, degraded, sc.cached[i]))
+	}
 }
 
 // computeResult produces the cacheable core of a reply — the interval, the
@@ -1073,39 +1218,6 @@ func (u *servingUnit) render(ch *servingChain, tab *dataset.Table, line string, 
 		resp.Covered = cardIv.Contains(float64(res.TrueRows))
 	}
 	return resp
-}
-
-// serveCached answers one /estimate query through the unit's interval
-// cache: a hit replays the stored result with zero estimator work; a miss
-// coalesces with any concurrent misses on the same canonical key
-// (singleflight) so N identical cold requests cost exactly one chain
-// execution. Only depth-0 (primary-served) results are stored — degraded
-// intervals are transient and must not outlive the fault that caused them.
-//
-// The singleflight leader re-resolves the chain and table INSIDE the
-// flight, after the cache has snapshotted the epoch. That ordering is the
-// invalidation proof: a result stored under epoch E was computed against
-// state resolved after E's snapshot, so a swap-then-bump sequence can never
-// leave a pre-swap interval reachable under a post-swap epoch. tab and ch
-// are the handler's resolutions, used only for the reply's presentation
-// fields.
-func (u *servingUnit) serveCached(ctx context.Context, tab *dataset.Table, ch *servingChain, line string, q workload.Query, bundle string, degraded bool) estimateResponse {
-	k := cache.KeyOf(q)
-	if r, ok := u.cache.Get(k); ok {
-		return u.render(ch, tab, line, r, 0, bundle, degraded, true)
-	}
-	r, aux, shared, err := u.cache.Do(k, func() (cache.Result, uint64, bool, error) {
-		ftab, fch := u.table(), u.current()
-		iv, depth := fch.resilient.IntervalDepthCtx(ctx, q)
-		return u.computeResult(fch, ftab, q, iv), uint64(depth), depth == 0, nil
-	})
-	if err != nil {
-		// Unreachable today (the flight fn never errors), but degrade to an
-		// uncached computation rather than failing the request.
-		iv, depth := ch.resilient.IntervalDepthCtx(ctx, q)
-		return u.respond(ch, tab, line, q, iv, depth, bundle, degraded)
-	}
-	return u.render(ch, tab, line, r, int(aux), bundle, degraded, shared)
 }
 
 // batchRequest is the JSON body of POST /estimate/batch: one query string
@@ -1168,186 +1280,6 @@ func wireResult(resp *estimateResponse, depth int) codec.WireResult {
 		TrueRows: resp.TrueRows, RollCov: resp.RollCov,
 		Depth: uint8(depth), Flags: flags,
 	}
-}
-
-// handleEstimateBatch answers POST /estimate/batch: the whole batch takes
-// one admission slot and one deadline, runs through the resilient chain's
-// batched path (the model's matrix kernels answer all queries in one pass),
-// and returns per-query results element-wise identical to /estimate. Any
-// malformed query rejects the whole batch with a 400 naming its index —
-// partial answers would make "which result is which" ambiguous.
-//
-// Two wire formats are negotiated via the request Content-Type: the default
-// JSON body, and the compact binary frame format (codec.WireContentType) —
-// a binary request gets a binary response. All request-sized buffers come
-// from the server scratch pool, so a warm server allocates O(1) per batch in
-// either format.
-func (s *server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	release, ok := s.admit(r.Context())
-	if !ok {
-		s.shed.Inc()
-		s.batchShed.Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "overloaded",
-			"server at capacity; retry after the indicated delay")
-		return
-	}
-	defer release()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	defer func() { s.batchLat.Observe(time.Since(start).Seconds()) }()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-
-	u, bundle, degraded, ok := s.route(w, r)
-	if !ok {
-		s.batchBad.Inc()
-		return
-	}
-
-	sc := s.scratch.Get().(*serveScratch)
-	defer s.scratch.Put(sc)
-	// The epoch snapshot precedes the table/chain resolution on purpose:
-	// results stored under this epoch were computed against state resolved
-	// after it, so swap-then-bump can never leave stale entries reachable
-	// (same ordering argument as serveCached).
-	var epoch uint64
-	if u.cache != nil {
-		epoch = u.cache.Epoch().Load()
-	}
-	tab, ch := u.table(), u.current()
-
-	binary := strings.HasPrefix(r.Header.Get("Content-Type"), codec.WireContentType)
-	var lines []string
-	var jsonReq batchRequest
-	if binary {
-		var err error
-		sc.body, err = appendReadAll(sc.body[:0], r.Body)
-		if err != nil {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "invalid_wire", "read request body: %v", err)
-			return
-		}
-		sc.rawQ, err = codec.DecodeWireRequest(sc.body, sc.rawQ[:0])
-		if err != nil {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "invalid_wire", "decode binary batch: %v", err)
-			return
-		}
-		sc.lines = sc.lines[:0]
-		for _, q := range sc.rawQ {
-			sc.lines = append(sc.lines, string(q))
-		}
-		lines = sc.lines
-	} else {
-		if err := json.NewDecoder(r.Body).Decode(&jsonReq); err != nil {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "invalid_json",
-				"decode request body: %v (expected {\"queries\": [\"...\"]})", err)
-			return
-		}
-		lines = jsonReq.Queries
-	}
-	if len(lines) == 0 {
-		s.batchBad.Inc()
-		httpError(w, http.StatusBadRequest, "empty_batch", "queries list is empty")
-		return
-	}
-	if len(lines) > s.maxBatch {
-		s.batchBad.Inc()
-		httpError(w, http.StatusBadRequest, "batch_too_large",
-			"%d queries exceed the per-request cap of %d", len(lines), s.maxBatch)
-		return
-	}
-	sc.qs = sc.qs[:0]
-	for i, line := range lines {
-		if line == "" {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "empty_query", "query %d is empty", i)
-			return
-		}
-		if len(line) > maxQueryBytes {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "query_too_long",
-				"query %d exceeds %d bytes", i, maxQueryBytes)
-			return
-		}
-		q, err := workload.ParseQuery(tab, line)
-		if err != nil {
-			s.batchBad.Inc()
-			httpError(w, http.StatusBadRequest, "parse_error", "query %d: parse %q: %v", i, line, err)
-			return
-		}
-		sc.qs = append(sc.qs, q)
-	}
-	s.batchSize.Observe(float64(len(sc.qs)))
-
-	if u.cache != nil {
-		// Probe per row, then run ONE batched chain execution over the
-		// misses only — a mostly-warm batch rides the matrix kernels for
-		// just its cold rows. Only depth-0 results are stored; within-batch
-		// duplicate misses are computed together in the single call.
-		sc.keys, sc.cres = sc.keys[:0], sc.cres[:0]
-		sc.hits, sc.depths = sc.hits[:0], sc.depths[:0]
-		sc.missQs, sc.missIdx = sc.missQs[:0], sc.missIdx[:0]
-		for i := range sc.qs {
-			k := cache.KeyOf(sc.qs[i])
-			sc.keys = append(sc.keys, k)
-			sc.depths = append(sc.depths, 0)
-			if r, ok := u.cache.Get(k); ok {
-				sc.cres = append(sc.cres, r)
-				sc.hits = append(sc.hits, true)
-				continue
-			}
-			sc.cres = append(sc.cres, cache.Result{})
-			sc.hits = append(sc.hits, false)
-			sc.missQs = append(sc.missQs, sc.qs[i])
-			sc.missIdx = append(sc.missIdx, i)
-		}
-		if len(sc.missQs) > 0 {
-			ivs, depths := ch.resilient.IntervalBatchDepthCtx(ctx, sc.missQs)
-			for j, idx := range sc.missIdx {
-				res := u.computeResult(ch, tab, sc.qs[idx], ivs[j])
-				sc.cres[idx] = res
-				sc.depths[idx] = depths[j]
-				if depths[j] == 0 {
-					u.cache.Put(sc.keys[idx], epoch, res)
-				}
-			}
-		}
-		sc.results = sc.results[:0]
-		for i := range sc.qs {
-			sc.results = append(sc.results, u.render(ch, tab, lines[i], sc.cres[i], sc.depths[i], bundle, degraded, sc.hits[i]))
-		}
-	} else {
-		ivs, depths := ch.resilient.IntervalBatchDepthCtx(ctx, sc.qs)
-		sc.depths = append(sc.depths[:0], depths...)
-		sc.results = sc.results[:0]
-		for i := range sc.qs {
-			sc.results = append(sc.results, u.respond(ch, tab, lines[i], sc.qs[i], ivs[i], depths[i], bundle, degraded))
-		}
-	}
-	s.batchOK.Inc()
-	if binary {
-		s.batchWireBinary.Inc()
-		sc.wire = sc.wire[:0]
-		for i := range sc.results {
-			sc.wire = append(sc.wire, wireResult(&sc.results[i], sc.depths[i]))
-		}
-		sc.body = codec.AppendWireResponse(sc.body[:0], uint64(tab.NumRows()), sc.wire)
-		w.Header().Set("Content-Type", codec.WireContentType)
-		_, _ = w.Write(sc.body)
-		return
-	}
-	s.batchWireJSON.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	sc.buf.Reset()
-	enc := json.NewEncoder(&sc.buf)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(batchResponse{Count: len(sc.results), Results: sc.results})
-	_, _ = w.Write(sc.buf.Bytes())
 }
 
 // stageName renders a fallback depth for the served_by field.

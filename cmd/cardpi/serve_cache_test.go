@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 
 	"cardpi/internal/cache"
 	"cardpi/internal/faultinject"
+	"cardpi/internal/obs"
 	"cardpi/internal/workload"
 )
 
@@ -390,5 +393,173 @@ func TestServeCacheLookupAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("key+lookup allocates %v times per run; want 0", allocs)
+	}
+}
+
+// metricSum totals every series of one metric family, whatever its labels.
+func metricSum(t *testing.T, reg *obs.Registry, family string) float64 {
+	t.Helper()
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, family+" ") && !strings.HasPrefix(line, family+"{") {
+			continue
+		}
+		var v float64
+		if _, err := fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%g", &v); err != nil {
+			t.Fatalf("parse metric line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
+// TestServeCacheCoalescesAcrossEndpoints: N concurrent identical cold misses,
+// half sent through /estimate and half through /estimate/batch, share one
+// flight — the chain runs once, the monitor observes once, and the other
+// N-1 rows are coalesced followers with bit-identical replies.
+func TestServeCacheCoalescesAcrossEndpoints(t *testing.T) {
+	setup := smallSetup(t)
+	bp := &blockingPI{inner: setup.PI, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	setup.PI = bp
+	ts, srv, reg := startServer(t, setup, serveOpts{cacheEntries: 1024, timeout: 30 * time.Second})
+	var released bool
+	release := func() {
+		if !released {
+			released = true
+			close(bp.release)
+		}
+	}
+	defer release()
+	const q, n = "state = 3 AND county = 10", 8
+	pq, err := workload.ParseQuery(srv.def.table(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obsBefore := metricSum(t, reg, "cardpi_adaptive_observations_total")
+	callsBefore := metricSum(t, reg, "cardpi_resilient_calls_total")
+
+	replies := make([]estimateResponse, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				st, er, body := getEstimate(t, ts.URL, q, "", "")
+				if st != http.StatusOK {
+					t.Errorf("single %d: status %d (%s)", i, st, body)
+				}
+				replies[i] = er
+				return
+			}
+			resp := postBatch(t, ts, []string{q})
+			defer resp.Body.Close()
+			var br batchResponse
+			if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || len(br.Results) != 1 {
+				t.Errorf("batch %d: status %d, decode %v", i, resp.StatusCode, err)
+				return
+			}
+			replies[i] = br.Results[0]
+		}(i)
+	}
+	<-bp.entered // the leader is inside the chain; its flight is claimed
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.def.cache.Waiters(cache.KeyOf(pq)) != n-1 {
+		if time.Now().After(deadline) {
+			release()
+			wg.Wait()
+			t.Fatalf("only %d of %d requests joined the leader's flight", srv.def.cache.Waiters(cache.KeyOf(pq)), n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	wg.Wait()
+
+	leaders := 0
+	for i, er := range replies {
+		if !er.Cached {
+			leaders++
+		}
+		if !sameBits(er, replies[0]) {
+			t.Fatalf("reply %d diverges from reply 0:\n%+v\n%+v", i, er, replies[0])
+		}
+	}
+	if leaders != 1 {
+		t.Fatalf("%d uncached replies, want exactly 1 leader", leaders)
+	}
+	if d := metricSum(t, reg, "cardpi_resilient_calls_total") - callsBefore; d != 1 {
+		t.Fatalf("resilient chain ran %v times, want 1", d)
+	}
+	if d := metricSum(t, reg, "cardpi_adaptive_observations_total") - obsBefore; d != 1 {
+		t.Fatalf("monitor observations rose by %v, want 1", d)
+	}
+	if got := metricValue(t, reg, `cardpi_cache_coalesced_total{unit="default"}`); got != n-1 {
+		t.Fatalf("coalesced = %v, want %d", got, n-1)
+	}
+}
+
+// TestServeCacheBatchDuplicateComputedOnce: a cold query repeated inside one
+// batch is computed once; the repeat is a coalesced follower of its own
+// batch's leader row, bit-identical to it.
+func TestServeCacheBatchDuplicateComputedOnce(t *testing.T) {
+	ts, _, reg := startServer(t, smallSetup(t), serveOpts{cacheEntries: 1024})
+	obsBefore := metricSum(t, reg, "cardpi_adaptive_observations_total")
+	const q = "county = 10 AND body_type = 2"
+	resp := postBatch(t, ts, []string{q, "state = 3", q})
+	defer resp.Body.Close()
+	var br batchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, decode %v", resp.StatusCode, err)
+	}
+	if br.Results[0].Cached || br.Results[1].Cached || !br.Results[2].Cached {
+		t.Fatalf("cached markers = %v %v %v, want false false true",
+			br.Results[0].Cached, br.Results[1].Cached, br.Results[2].Cached)
+	}
+	if !sameBits(br.Results[0], br.Results[2]) {
+		t.Fatalf("duplicate row diverges:\n%+v\n%+v", br.Results[0], br.Results[2])
+	}
+	if d := metricSum(t, reg, "cardpi_adaptive_observations_total") - obsBefore; d != 2 {
+		t.Fatalf("monitor observations rose by %v, want 2 (two distinct cold queries)", d)
+	}
+	if got := metricValue(t, reg, `cardpi_cache_coalesced_total{unit="default"}`); got != 1 {
+		t.Fatalf("coalesced = %v, want 1", got)
+	}
+	if got := metricSum(t, reg, "cardpi_resilient_calls_total"); got != 2 {
+		t.Fatalf("resilient calls = %v, want 2", got)
+	}
+}
+
+// TestServeChaosDeadlineBothEndpoints: a primary whose every call sleeps far
+// past -timeout answers with the fail-safe interval within the deadline on
+// both /estimate and /estimate/batch — the batch stage sees the request
+// deadline too.
+func TestServeChaosDeadlineBothEndpoints(t *testing.T) {
+	setup := smallSetup(t)
+	plan := faultinject.MustPlan(faultinject.Spec{Seed: 9, Latency: 1, Delay: time.Minute})
+	setup.PI = faultinject.WrapPI(setup.PI, plan)
+	ts, _, _ := startServer(t, setup, serveOpts{timeout: 50 * time.Millisecond})
+
+	start := time.Now()
+	st, er, body := getEstimate(t, ts.URL, "state = 3", "", "")
+	if st != http.StatusOK || er.ServedBy != "failsafe" || er.LoSel != 0 || er.HiSel != 1 {
+		t.Fatalf("single: status %d served_by %q [%v, %v] (%s), want the fail-safe", st, er.ServedBy, er.LoSel, er.HiSel, body)
+	}
+	resp := postBatch(t, ts, []string{"state = 3", "county = 10", "fuel_type = 1", "model_year BETWEEN 40 AND 90"})
+	defer resp.Body.Close()
+	var br batchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, decode %v", resp.StatusCode, err)
+	}
+	for i, r := range br.Results {
+		if r.ServedBy != "failsafe" {
+			t.Fatalf("batch row %d served_by %q, want failsafe", i, r.ServedBy)
+		}
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("deadline ignored: two requests took %s", elapsed)
 	}
 }

@@ -50,24 +50,16 @@ func Instrument(pi PI, reg *obs.Registry) *Instrumented {
 // and bare wrappers are interchangeable in reports.
 func (in *Instrumented) Name() string { return in.pi.Name() }
 
-// Interval implements PI: it delegates to the wrapped method and records
-// the call count, latency, and error count. Units of the returned interval
-// are unchanged (normalised selectivity in [0, 1]).
+// Interval implements PI: IntervalCtx without a deadline. Units of the
+// returned interval are unchanged (normalised selectivity in [0, 1]).
 func (in *Instrumented) Interval(q workload.Query) (Interval, error) {
-	start := time.Now()
-	iv, err := in.pi.Interval(q)
-	in.lat.Observe(time.Since(start).Seconds())
-	in.calls.Inc()
-	if err != nil {
-		in.errs.Inc()
-	}
-	return iv, err
+	return in.IntervalCtx(context.Background(), q)
 }
 
 // IntervalCtx implements ContextPI: it forwards the context to the wrapped
 // PI (via the IntervalCtx shim, so plain PIs keep working) and records the
-// same call/latency/error metrics as Interval. Cancellations and deadline
-// expiries count as errors.
+// call count, latency, and error count. Cancellations and deadline expiries
+// count as errors.
 func (in *Instrumented) IntervalCtx(ctx context.Context, q workload.Query) (Interval, error) {
 	start := time.Now()
 	iv, err := IntervalCtx(ctx, in.pi, q)
@@ -79,17 +71,23 @@ func (in *Instrumented) IntervalCtx(ctx context.Context, q workload.Query) (Inte
 	return iv, err
 }
 
-// IntervalBatch implements BatchPI: it forwards the batch to the wrapped
-// PI (through the IntervalBatch package function, so non-batch PIs still
-// work) and records the same metrics a sequential loop would — one call
-// count per query and the batch's amortised per-query latency into the
-// histogram, keeping latency quantiles comparable across serving modes.
+// IntervalBatch implements BatchPI: IntervalBatchCtx without a deadline.
 func (in *Instrumented) IntervalBatch(qs []workload.Query) ([]Interval, error) {
+	return in.IntervalBatchCtx(context.Background(), qs)
+}
+
+// IntervalBatchCtx forwards the batch and its context to the wrapped PI
+// (through the IntervalBatchCtx package function, so non-batch and
+// context-aware PIs still work) and records the same metrics a sequential
+// loop would — one call count per query and the batch's amortised per-query
+// latency into the histogram, keeping latency quantiles comparable across
+// serving modes.
+func (in *Instrumented) IntervalBatchCtx(ctx context.Context, qs []workload.Query) ([]Interval, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
 	start := time.Now()
-	ivs, err := IntervalBatch(in.pi, qs)
+	ivs, err := IntervalBatchCtx(ctx, in.pi, qs)
 	perQuery := time.Since(start).Seconds() / float64(len(qs))
 	for range qs {
 		in.lat.Observe(perQuery)

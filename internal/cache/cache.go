@@ -167,12 +167,12 @@ type Cache struct {
 	shardMask uint64
 	setMask   uint64
 
-	// Singleflight state: one call per (key, epoch) in flight. Keying by
-	// epoch means a bump strands old flights — post-swap arrivals start a
-	// fresh computation on the new chain rather than adopting a pre-swap
-	// leader's result.
+	// The flight table: one Flight per (key, epoch) in flight, shared by
+	// Claim/Finish/Wait and Do. Keying by epoch means a bump strands old
+	// flights — post-swap arrivals start a fresh computation on the new
+	// chain rather than adopting a pre-swap leader's result.
 	fmu    sync.Mutex
-	flight map[flightKey]*flightCall
+	flight map[flightKey]*Flight
 }
 
 // New builds a Cache from cfg (see Config for the rounding rules).
@@ -196,7 +196,7 @@ func New(cfg Config) *Cache {
 		shards:    make([]shard, nShards),
 		shardMask: uint64(nShards - 1),
 		setMask:   uint64(nSets - 1),
-		flight:    make(map[flightKey]*flightCall),
+		flight:    make(map[flightKey]*Flight),
 	}
 	if c.epoch == nil {
 		c.epoch = new(Epoch)
@@ -341,69 +341,89 @@ type flightKey struct {
 	epoch uint64
 }
 
-// flightCall is one in-flight leader computation; followers block on wg.
-// waiters (guarded by the cache's fmu) counts blocked followers — used by
-// the coalescing tests to close timing races deterministically.
-type flightCall struct {
+// Flight is one claimed (key, epoch) computation: its first claimant (the
+// leader) computes and Finishes it; every later claimant Waits for it.
+type Flight struct {
+	fk      flightKey
 	wg      sync.WaitGroup
-	waiters int
 	res     Result
 	aux     uint64
 	err     error
+	waiters int // followers so far, guarded by the cache's fmu
 }
 
-// Waiters reports how many followers are blocked on the in-flight
-// computation for k under the current epoch, or -1 when no such flight
-// exists. Test instrumentation: the coalescing tests poll it to close
-// scheduling races deterministically before releasing a gated leader.
+// Waiters reports how many followers have claimed the in-flight computation
+// for k under the current epoch, or -1 when no such flight exists. Test
+// instrumentation: the coalescing tests poll it to close scheduling races
+// deterministically before releasing a gated leader.
 func (c *Cache) Waiters(k Key) int {
 	fk := flightKey{k: k, epoch: c.epoch.Load()}
 	c.fmu.Lock()
 	defer c.fmu.Unlock()
-	if call, ok := c.flight[fk]; ok {
-		return call.waiters
+	if f, ok := c.flight[fk]; ok {
+		return f.waiters
 	}
 	return -1
 }
 
-// Do coalesces concurrent computations of k: the first caller under the
-// current epoch runs fn (the leader), every concurrent caller with the
-// same key and epoch blocks and reuses the leader's return (shared=true,
-// counted as coalesced). fn returns the result, an opaque aux word
-// passed through to every caller (the serve layer carries the fallback
-// depth there), and store — whether the result is cacheable; a stored
-// result is Put under the epoch snapshotted before fn ran, so a
-// mid-flight invalidation drops it. Followers inherit the leader's error.
-//
-// Followers wait for the leader without a deadline of their own: the
-// leader runs under its caller's context, so the wait is bounded by that
-// request's budget. An epoch bump strands the flight — arrivals after the
-// bump elect a fresh leader against the new serving state.
-func (c *Cache) Do(k Key, fn func() (res Result, aux uint64, store bool, err error)) (res Result, aux uint64, shared bool, err error) {
-	epoch := c.epoch.Load()
+// Claim joins the flight for k under epoch — the epoch the caller
+// snapshotted BEFORE resolving the serving state it computes against. The
+// first claimant is the leader (leader=true) and must call Finish; later
+// claimants until then are followers and must call Wait. A caller holding
+// several claims (a batch) must Finish every flight it leads before it Waits
+// on any it follows: then no caller waits while holding an unfinished
+// flight, and claimants can never wait on each other in a cycle.
+func (c *Cache) Claim(k Key, epoch uint64) (f *Flight, leader bool) {
 	fk := flightKey{k: k, epoch: epoch}
 	c.fmu.Lock()
-	if call, ok := c.flight[fk]; ok {
-		call.waiters++
-		c.fmu.Unlock()
-		call.wg.Wait()
-		c.m.Coalesced.Inc()
-		return call.res, call.aux, true, call.err
+	defer c.fmu.Unlock()
+	if f, ok := c.flight[fk]; ok {
+		f.waiters++
+		return f, false
 	}
-	call := &flightCall{}
-	call.wg.Add(1)
-	c.flight[fk] = call
-	c.fmu.Unlock()
+	f = &Flight{fk: fk}
+	f.wg.Add(1)
+	c.flight[fk] = f
+	return f, true
+}
 
-	var store bool
-	call.res, call.aux, store, call.err = fn()
-	if call.err == nil && store {
-		c.Put(k, epoch, call.res)
+// Finish completes a flight the caller leads, releasing its followers with
+// (res, aux, err); aux is an opaque word (the serve layer's fallback depth).
+// When err is nil and store is set, res is Put under the flight's epoch, so
+// a mid-flight invalidation drops it.
+func (c *Cache) Finish(f *Flight, res Result, aux uint64, store bool, err error) {
+	f.res, f.aux, f.err = res, aux, err
+	if err == nil && store {
+		c.Put(f.fk.k, f.fk.epoch, res)
 	}
-
 	c.fmu.Lock()
-	delete(c.flight, fk)
+	delete(c.flight, f.fk)
 	c.fmu.Unlock()
-	call.wg.Done()
-	return call.res, call.aux, false, call.err
+	f.wg.Done()
+}
+
+// Wait blocks until the leader of f Finishes it and returns the leader's
+// result, aux word and error, counting the follower as coalesced. There is
+// no deadline of its own: the leader computes under its caller's context,
+// so the wait is bounded by that request's budget.
+func (c *Cache) Wait(f *Flight) (Result, uint64, error) {
+	f.wg.Wait()
+	c.m.Coalesced.Inc()
+	return f.res, f.aux, f.err
+}
+
+// Do is the single-key form of Claim/Finish/Wait under the current epoch:
+// the leader runs fn, which returns the result, the aux word and whether to
+// store it (see Finish); concurrent callers with the same key and epoch
+// reuse the leader's return (shared=true), error included.
+func (c *Cache) Do(k Key, fn func() (res Result, aux uint64, store bool, err error)) (res Result, aux uint64, shared bool, err error) {
+	f, leader := c.Claim(k, c.epoch.Load())
+	if !leader {
+		res, aux, err = c.Wait(f)
+		return res, aux, true, err
+	}
+	var store bool
+	res, aux, store, err = fn()
+	c.Finish(f, res, aux, store, err)
+	return res, aux, false, err
 }

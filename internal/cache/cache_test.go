@@ -241,6 +241,78 @@ func TestCacheDoMidFlightInvalidation(t *testing.T) {
 	}
 }
 
+// TestCacheClaimBatchAndDoShareFlights: a multi-key claimant (a batch) and
+// Do callers coalesce through one flight table — a key claimed twice by the
+// same batch is computed once, and a concurrent Do on a key the batch leads
+// reuses the batch's result instead of running its own fn.
+func TestCacheClaimBatchAndDoShareFlights(t *testing.T) {
+	m := NewMetrics(newTestRegistry(t))
+	c := New(Config{Entries: 64, Metrics: m})
+	epoch := c.Epoch().Load()
+	fa, leadA := c.Claim(k(1, 1), epoch)
+	fb, leadB := c.Claim(k(2, 2), epoch)
+	dup, leadDup := c.Claim(k(1, 1), epoch) // the batch repeats row a
+	if !leadA || !leadB || leadDup || dup != fa {
+		t.Fatalf("claims: leadA=%v leadB=%v leadDup=%v sameFlight=%v; want two leaders and one follower of a",
+			leadA, leadB, leadDup, dup == fa)
+	}
+	doneDo := make(chan Result)
+	go func() {
+		r, _, shared, _ := c.Do(k(2, 2), func() (Result, uint64, bool, error) {
+			t.Error("Do ran its own fn while the batch led the key")
+			return Result{}, 0, false, nil
+		})
+		if !shared {
+			t.Error("Do on a batch-led key not shared")
+		}
+		doneDo <- r
+	}()
+	for c.Waiters(k(2, 2)) != 1 {
+		runtime.Gosched()
+	}
+	// Leaders finish before the batch waits on anything it follows.
+	c.Finish(fa, res(1), 0, true, nil)
+	c.Finish(fb, res(2), 4, false, nil)
+	r, aux, err := c.Wait(dup)
+	if err != nil || r != res(1) || aux != 0 {
+		t.Fatalf("within-batch duplicate Wait = %+v aux=%d err=%v", r, aux, err)
+	}
+	if got := <-doneDo; got != res(2) {
+		t.Fatalf("Do follower got %+v, want the batch leader's result", got)
+	}
+	if m.Coalesced.Value() != 2 {
+		t.Fatalf("coalesced = %d, want 2 (the duplicate row and the Do caller)", m.Coalesced.Value())
+	}
+	if _, ok := c.Get(k(1, 1)); !ok {
+		t.Fatal("stored flight result not cached")
+	}
+	if _, ok := c.Get(k(2, 2)); ok {
+		t.Fatal("store=false flight result cached")
+	}
+	if c.Waiters(k(1, 1)) != -1 || c.Waiters(k(2, 2)) != -1 {
+		t.Fatal("finished flights still registered")
+	}
+}
+
+// TestCacheClaimStaleEpoch: a claim under an epoch snapshot that a bump has
+// since retired still coalesces same-snapshot claimants, but its result is
+// never stored, and a claim under the new epoch elects a fresh leader.
+func TestCacheClaimStaleEpoch(t *testing.T) {
+	c := New(Config{Entries: 64})
+	old := c.Epoch().Load()
+	f, leader := c.Claim(k(1, 1), old)
+	c.Invalidate()
+	fresh, freshLeader := c.Claim(k(1, 1), c.Epoch().Load())
+	if !freshLeader || !leader {
+		t.Fatal("post-bump claim adopted the pre-bump flight")
+	}
+	defer c.Finish(fresh, Result{}, 0, false, nil)
+	c.Finish(f, res(1), 0, true, nil)
+	if _, ok := c.Get(k(1, 1)); ok {
+		t.Fatal("result computed under a retired epoch was stored")
+	}
+}
+
 func TestCacheGetAllocs(t *testing.T) {
 	c := New(Config{Entries: 256})
 	key := k(3, 3)

@@ -77,7 +77,8 @@ func BlockRange(n, blocks, b int) (lo, hi int) {
 // on. All blocks always run; the returned error is that of the
 // lowest-indexed failing block, which — because fn implementations scan
 // their block in ascending row order and stop at the first failure — is the
-// error of the lowest failing row, matching the sequential contract.
+// error of the lowest failing row, matching the sequential contract. A
+// panic in fn reaches the caller's goroutine either way (see ForEachWorker).
 func RunBlocks(n, minBlock int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -141,62 +142,66 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 // ForEachWorker is ForEach with the worker index (in [0, Workers())) passed
 // to fn, so callers can maintain per-worker state — scratch buffers, RNGs —
 // without locking: a worker index is never active on two goroutines at once.
+//
+// A panicking item never unwinds a worker goroutine, where no caller could
+// recover it: every other item still runs, then the panic of the lowest
+// panicking index is re-raised on the calling goroutine, so a recover there
+// (the Resilient chain's stage guard) sees it as if fn had run inline.
 func (p *Pool) ForEachWorker(n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	queueDepth.Add(int64(n))
-	w := p.workers
-	if w > n {
-		w = n
+	var (
+		next               atomic.Int64
+		mu                 sync.Mutex
+		firstIdx, panicIdx = -1, -1
+		firstErr           error
+		panicVal           any
+	)
+	// run is one item, with a panic recorded instead of unwinding the worker.
+	run := func(wi, i int) error {
+		defer func() {
+			if pv := recover(); pv != nil {
+				mu.Lock()
+				if panicIdx < 0 || i < panicIdx {
+					panicIdx, panicVal = i, pv
+				}
+				mu.Unlock()
+			}
+		}()
+		return fn(wi, i)
 	}
-	if w <= 1 {
-		// Degenerate pool: run inline, same all-items/first-error contract.
-		var firstErr error
-		firstIdx := -1
-		for i := 0; i < n; i++ {
-			err := fn(0, i)
+	work := func(wi int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			err := run(wi, i)
 			tasksTotal.Inc()
 			queueDepth.Add(-1)
-			if err != nil && firstIdx < 0 {
-				firstIdx, firstErr = i, err
+			if err != nil {
+				mu.Lock()
+				if firstIdx < 0 || i < firstIdx {
+					firstIdx, firstErr = i, err
+				}
+				mu.Unlock()
 			}
 		}
-		if firstErr != nil {
-			firstErrors.Inc()
+	}
+	if w := min(p.workers, n); w <= 1 {
+		work(0) // degenerate pool: run inline, same contract
+	} else {
+		var wg sync.WaitGroup
+		for wi := 0; wi < w; wi++ {
+			wg.Add(1)
+			go func(wi int) {
+				defer wg.Done()
+				work(wi)
+			}(wi)
 		}
-		return firstErr
+		wg.Wait()
 	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstIdx = -1
-		firstErr error
-	)
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				err := fn(wi, i)
-				tasksTotal.Inc()
-				queueDepth.Add(-1)
-				if err != nil {
-					mu.Lock()
-					if firstIdx < 0 || i < firstIdx {
-						firstIdx, firstErr = i, err
-					}
-					mu.Unlock()
-				}
-			}
-		}(wi)
+	if panicIdx >= 0 {
+		panic(panicVal)
 	}
-	wg.Wait()
 	if firstErr != nil {
 		firstErrors.Inc()
 	}

@@ -273,3 +273,51 @@ func TestPoolMetricsDeltas(t *testing.T) {
 		t.Fatalf("tasksTotal delta = %d, want %d", got, n+3)
 	}
 }
+
+// TestForEachWorkerPanicReraisedOnCaller: a panic on a worker goroutine must
+// surface on the calling goroutine (where a recover can catch it) after every
+// other item has run, carrying the lowest panicking index's value.
+func TestForEachWorkerPanicReraisedOnCaller(t *testing.T) {
+	const n = 64
+	var ran atomic.Int64
+	got := func() (pv any) {
+		defer func() { pv = recover() }()
+		_ = NewPool(4).ForEach(n, func(i int) error {
+			ran.Add(1)
+			if i%16 == 5 {
+				panic(fmt.Sprintf("item %d", i))
+			}
+			return nil
+		})
+		return nil
+	}()
+	if got != "item 5" {
+		t.Fatalf("recovered %v on the caller, want the lowest panicking item's value \"item 5\"", got)
+	}
+	if r := ran.Load(); r != n {
+		t.Fatalf("%d of %d items ran; a panic must not abandon the rest", r, n)
+	}
+}
+
+// TestRunBlocksPanicReraisedOnCaller: a sharded kernel whose block panics on a
+// worker goroutine re-raises on the caller instead of crashing the process.
+func TestRunBlocksPanicReraisedOnCaller(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	SetBatchWorkers(2)
+	defer SetBatchWorkers(0)
+	got := func() (pv any) {
+		defer func() { pv = recover() }()
+		_ = RunBlocks(100, 1, func(lo, hi int) error {
+			if lo > 0 {
+				panic("second block")
+			}
+			return nil
+		})
+		return nil
+	}()
+	if got != "second block" {
+		t.Fatalf("recovered %v on the caller, want \"second block\"", got)
+	}
+}

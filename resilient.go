@@ -350,8 +350,9 @@ func (r *Resilient) IntervalBatch(qs []workload.Query) ([]Interval, error) {
 // the chain. The breaker records one event per batch primary attempt —
 // success only when the call returned no error and every row was finite — so
 // a poisoned batch trips it at the same rate as a poisoned single query. The
-// context is checked between stages: once it is done, remaining queries go
-// straight to the fail-safe full-domain interval.
+// context is forwarded to every stage's batch call (IntervalBatchCtx) and
+// checked between stages: once it is done, remaining queries go straight to
+// the fail-safe full-domain interval.
 func (r *Resilient) IntervalBatchDepthCtx(ctx context.Context, qs []workload.Query) ([]Interval, []int) {
 	n := len(qs)
 	r.calls.Add(uint64(n))
@@ -383,7 +384,7 @@ func (r *Resilient) IntervalBatchDepthCtx(ctx context.Context, qs []workload.Que
 			}
 			batch = sub
 		}
-		ivs, err := r.tryStageBatch(st, batch)
+		ivs, err := r.tryStageBatch(ctx, st, batch)
 		allOK := err == nil && len(ivs) == len(batch)
 		if allOK {
 			for _, iv := range ivs {
@@ -431,16 +432,17 @@ func (r *Resilient) IntervalBatchDepthCtx(ctx context.Context, qs []workload.Que
 	return out, depth
 }
 
-// tryStageBatch runs one stage's whole-batch attempt under panic recovery,
-// mirroring tryStage.
-func (r *Resilient) tryStageBatch(pi PI, qs []workload.Query) (ivs []Interval, err error) {
+// tryStageBatch runs one stage's whole-batch attempt under the request
+// context and panic recovery, mirroring tryStage. Panics on the worker pool's
+// goroutines are re-raised here by internal/par, so they are recovered too.
+func (r *Resilient) tryStageBatch(ctx context.Context, pi PI, qs []workload.Query) (ivs []Interval, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.panics.Inc()
 			err = fmt.Errorf("cardpi: recovered panic in %s: %v", pi.Name(), p)
 		}
 	}()
-	return IntervalBatch(pi, qs)
+	return IntervalBatchCtx(ctx, pi, qs)
 }
 
 // tryStage runs one stage under panic recovery: a panicking stage becomes a

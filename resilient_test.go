@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -307,5 +308,57 @@ func TestResilientFastPathAllocs(t *testing.T) {
 	})
 	if wrapped > bare {
 		t.Fatalf("resilient fast path allocates: %.1f allocs/op vs %.1f bare", wrapped, bare)
+	}
+}
+
+// TestResilientIntervalBatchDeadline: a batch stage sees the request
+// deadline. A primary whose every call sleeps a minute must give way to the
+// fail-safe for all rows soon after a 20 ms deadline, through the
+// Instrument decorator and the per-row fan-out of a non-batch stage.
+func TestResilientIntervalBatchDeadline(t *testing.T) {
+	plan := faultinject.MustPlan(faultinject.Spec{Seed: 3, Latency: 1, Delay: time.Minute})
+	faulty := faultinject.WrapPI(&scriptedPI{iv: Interval{Lo: 0.2, Hi: 0.3}}, plan)
+	r := mustResilient(t, Instrument(faulty, obs.NewRegistry()), ResilientConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	ivs, depths := r.IntervalBatchDepthCtx(ctx, make([]workload.Query, 8))
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("deadline ignored: batch took %s", elapsed)
+	}
+	for i := range ivs {
+		if ivs[i] != (Interval{Lo: 0, Hi: 1}) || depths[i] != r.FailsafeDepth() {
+			t.Fatalf("row %d: iv = %+v depth = %d, want the fail-safe", i, ivs[i], depths[i])
+		}
+	}
+}
+
+// TestResilientIntervalBatchWorkerPanic: a stage that panics while the batch
+// is fanned over worker goroutines degrades like a scalar panic — every row
+// is served by the fallback — instead of killing the process.
+func TestResilientIntervalBatchWorkerPanic(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		// The fan-out only leaves the calling goroutine with >= 2 workers.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	reg := obs.NewRegistry()
+	plan := faultinject.MustPlan(faultinject.Spec{Seed: 5, Panic: 1})
+	faulty := faultinject.WrapPI(&scriptedPI{iv: Interval{Lo: 0.2, Hi: 0.3}}, plan)
+	fb := Interval{Lo: 0.1, Hi: 0.6}
+	r := mustResilient(t, Instrument(faulty, reg), ResilientConfig{
+		Fallbacks: []PI{&scriptedPI{iv: fb}},
+		Metrics:   reg,
+	})
+	ivs, depths := r.IntervalBatchDepthCtx(context.Background(), make([]workload.Query, 64))
+	for i := range ivs {
+		if ivs[i] != fb || depths[i] != 1 {
+			t.Fatalf("row %d: iv = %+v depth = %d, want the fallback", i, ivs[i], depths[i])
+		}
+	}
+	if n := plan.Injected(faultinject.Panic); n == 0 {
+		t.Fatal("plan injected no panic")
+	}
+	if got := reg.Counter("cardpi_resilient_recovered_panics_total", "", obs.L("pi", r.Name())).Value(); got != 1 {
+		t.Fatalf("recovered panics = %d, want 1 (one per batch stage attempt)", got)
 	}
 }
