@@ -21,7 +21,9 @@ bench:
 # Run the NN-core benchmarks and record them as BENCH_nn.json so future
 # changes have a perf trajectory to compare against, then the PI hot-path
 # benchmarks as BENCH_pi.json (sequential Interval vs IntervalBatch; the
-# speedups block records the queries/sec ratios).
+# speedups block records the queries/sec ratios), the multi-core batch
+# matrix as BENCH_batch_mt.json, and the exact count oracle (Table.Count
+# against its row-at-a-time reference) as BENCH_count.json.
 bench-json:
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkFit$$' -benchmem ./internal/nn/ ; \
 	   $(GO) test -run '^$$' -bench '^BenchmarkIntervalCV$$' -benchmem ./internal/conformal/ ; \
@@ -31,6 +33,8 @@ bench-json:
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_pi.json
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkIntervalBatchMT$$' -benchmem . ; } \
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_batch_mt.json
+	@{ $(GO) test -run '^$$' -bench '^BenchmarkCount(RowScan)?$$' -benchmem ./internal/dataset/ ; } \
+	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_count.json
 
 # Record the serving-layer interval-cache speedup as BENCH_serve.json:
 # boot identical cache-on and cache-off servers, replay a Zipfian query

@@ -3,8 +3,9 @@
 // (BenchmarkFit, BenchmarkEvaluate, BenchmarkIntervalCV) through it into
 // BENCH_nn.json, the batched-inference benchmarks into BENCH_pi.json, and
 // the worker-count scaling matrix (BenchmarkIntervalBatchMT) into
-// BENCH_batch_mt.json, giving future changes a perf trajectory to compare
-// against.
+// BENCH_batch_mt.json, and the count oracle (BenchmarkCount against
+// BenchmarkCountRowScan) into BENCH_count.json, giving future changes a perf
+// trajectory to compare against.
 package main
 
 import (
@@ -172,6 +173,13 @@ func speedups(bs []Benchmark) map[string]float64 {
 				"BenchmarkIntervalBatch/"+method+"/n="+n)
 		}
 	}
+	// The column-at-a-time count kernel against the row-at-a-time
+	// reference, and the 100k-row fan-out against one goroutine
+	// (BENCH_count.json).
+	for _, w := range []string{"servebench-shaped", "dmv-100k"} {
+		ratio("count_"+w+"_vs_rowscan", "BenchmarkCountRowScan/"+w, "BenchmarkCount/"+w)
+	}
+	ratio("count_dmv-100k_fanout_vs_one_goroutine", "BenchmarkCount/dmv-100k-one-goroutine", "BenchmarkCount/dmv-100k")
 	// Multi-core scaling of the sharded row-block kernels
 	// (BENCH_batch_mt.json): W=k vs W=1 on the same batch shape. The W
 	// dimension is discovered from the result names, so a box whose NumCPU

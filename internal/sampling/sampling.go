@@ -49,16 +49,22 @@ func (e *Estimator) EstimateSelectivity(q workload.Query) float64 {
 }
 
 // SelectivityOf returns the fraction of sampled rows matching the conjuncts.
+// A predicate on an unknown column yields 0.
 func (e *Estimator) SelectivityOf(preds []dataset.Predicate) float64 {
+	var buf [8][]int64
+	cols := buf[:0]
+	for _, p := range preds {
+		c := e.table.Column(p.Col)
+		if c == nil {
+			return 0
+		}
+		cols = append(cols, c.Values)
+	}
 	match := 0
 rows:
 	for _, ri := range e.rows {
-		for _, p := range preds {
-			c := e.table.Column(p.Col)
-			if c == nil {
-				return 0
-			}
-			if !p.Matches(c.Values[ri]) {
+		for j, p := range preds {
+			if !p.Matches(cols[j][ri]) {
 				continue rows
 			}
 		}

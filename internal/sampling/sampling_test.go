@@ -115,3 +115,54 @@ func TestConfidenceInterval(t *testing.T) {
 		t.Fatalf("empty-sample CI = [%v,%v], want degenerate [0,0]", lo, hi)
 	}
 }
+
+// selectivityRef is the readable reference for SelectivityOf: it looks every
+// column up again for each sampled row.
+func selectivityRef(e *Estimator, preds []dataset.Predicate) float64 {
+	match := 0
+rows:
+	for _, ri := range e.rows {
+		for _, p := range preds {
+			c := e.table.Column(p.Col)
+			if c == nil {
+				return 0
+			}
+			if !p.Matches(c.Values[ri]) {
+				continue rows
+			}
+		}
+		match++
+	}
+	return float64(match) / float64(len(e.rows))
+}
+
+func TestSelectivityOfMatchesReference(t *testing.T) {
+	tab, err := dataset.GenerateDMV(dataset.GenConfig{Rows: 5000, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(tab, 1000, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := workload.Generate(tab, workload.Config{Count: 300, MaxPreds: 10, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range wl.Queries {
+		preds := q.Query.Preds
+		got, want := e.SelectivityOf(preds), selectivityRef(e, preds)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("SelectivityOf(%v) = %v, reference %v", preds, got, want)
+		}
+	}
+	// An unknown column yields 0 wherever it sits in the conjunction.
+	for _, preds := range [][]dataset.Predicate{
+		{{Col: "ghost", Op: dataset.OpEq}, {Col: "state", Op: dataset.OpEq}},
+		{{Col: "state", Op: dataset.OpRange, Lo: 0, Hi: 1 << 20}, {Col: "ghost", Op: dataset.OpEq}},
+	} {
+		if got := e.SelectivityOf(preds); math.Float64bits(got) != math.Float64bits(selectivityRef(e, preds)) || got != 0 {
+			t.Fatalf("SelectivityOf(%v) = %v, want 0", preds, got)
+		}
+	}
+}
