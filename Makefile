@@ -22,8 +22,10 @@ bench:
 # changes have a perf trajectory to compare against, then the PI hot-path
 # benchmarks as BENCH_pi.json (sequential Interval vs IntervalBatch; the
 # speedups block records the queries/sec ratios), the multi-core batch
-# matrix as BENCH_batch_mt.json, and the exact count oracle (Table.Count
-# against its row-at-a-time reference) as BENCH_count.json.
+# matrix as BENCH_batch_mt.json, the exact count oracle (Table.Count
+# against its row-at-a-time reference) as BENCH_count.json, and the query
+# parser (ParseQuery against its reference lexer and merge) as
+# BENCH_parse.json.
 bench-json:
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkFit$$' -benchmem ./internal/nn/ ; \
 	   $(GO) test -run '^$$' -bench '^BenchmarkIntervalCV$$' -benchmem ./internal/conformal/ ; \
@@ -35,6 +37,8 @@ bench-json:
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_batch_mt.json
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkCount(RowScan)?$$' -benchmem ./internal/dataset/ ; } \
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_count.json
+	@{ $(GO) test -run '^$$' -bench '^BenchmarkParseQuery(Ref)?$$' -benchmem ./internal/workload/ ; } \
+	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_parse.json
 
 # Record the serving-layer interval-cache speedup as BENCH_serve.json:
 # boot identical cache-on and cache-off servers, replay a Zipfian query

@@ -3,9 +3,11 @@
 // (BenchmarkFit, BenchmarkEvaluate, BenchmarkIntervalCV) through it into
 // BENCH_nn.json, the batched-inference benchmarks into BENCH_pi.json, and
 // the worker-count scaling matrix (BenchmarkIntervalBatchMT) into
-// BENCH_batch_mt.json, and the count oracle (BenchmarkCount against
-// BenchmarkCountRowScan) into BENCH_count.json, giving future changes a perf
-// trajectory to compare against.
+// BENCH_batch_mt.json, the count oracle (BenchmarkCount against
+// BenchmarkCountRowScan) into BENCH_count.json, and the query parser
+// (BenchmarkParseQuery against BenchmarkParseQueryRef) into
+// BENCH_parse.json, giving future changes a perf trajectory to compare
+// against.
 package main
 
 import (
@@ -180,6 +182,11 @@ func speedups(bs []Benchmark) map[string]float64 {
 		ratio("count_"+w+"_vs_rowscan", "BenchmarkCountRowScan/"+w, "BenchmarkCount/"+w)
 	}
 	ratio("count_dmv-100k_fanout_vs_one_goroutine", "BenchmarkCount/dmv-100k-one-goroutine", "BenchmarkCount/dmv-100k")
+	// The allocation-free query parser against its reference
+	// (BENCH_parse.json).
+	for _, w := range []string{"servebench-shaped", "header-form", "join"} {
+		ratio("parse_"+w+"_vs_ref", "BenchmarkParseQueryRef/"+w, "BenchmarkParseQuery/"+w)
+	}
 	// Multi-core scaling of the sharded row-block kernels
 	// (BENCH_batch_mt.json): W=k vs W=1 on the same batch shape. The W
 	// dimension is discovered from the result names, so a box whose NumCPU

@@ -114,15 +114,6 @@ func adminKey(w http.ResponseWriter, tenant, table string) (registry.Key, bool) 
 	return registry.Key{Tenant: tenant, Table: table}, true
 }
 
-// writeAdminJSON writes a 200 admin response body.
-func writeAdminJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 // registryError maps a registry error onto the admin status-code taxonomy.
 func registryError(w http.ResponseWriter, err error) {
 	switch {
@@ -169,7 +160,7 @@ func (s *server) handleAdminRegister(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad_artifact", "%v", err)
 		return
 	}
-	writeAdminJSON(w, adminRegisterResponse{
+	writeJSON(w, adminRegisterResponse{
 		Tenant: key.Tenant, Table: key.Table,
 		Version: ref.Version, Path: ref.Path, SizeBytes: ref.Size,
 		Model: ref.Manifest.Model, Method: ref.Manifest.Method, Dataset: ref.Manifest.Dataset,
@@ -201,7 +192,7 @@ func (s *server) handleAdminPromote(w http.ResponseWriter, r *http.Request) {
 	// too). Bump strictly after the registry published the new active ref.
 	s.invalidateCaches()
 	logStderr("promoted %s@v%d (force=%v)", key, ref.Version, req.Force)
-	writeAdminJSON(w, s.switchResponse(key, ref.Version))
+	writeJSON(w, s.switchResponse(key, ref.Version))
 }
 
 // handleAdminRollback answers POST /admin/rollback: O(1) restore of the
@@ -228,7 +219,7 @@ func (s *server) handleAdminRollback(w http.ResponseWriter, r *http.Request) {
 	}
 	s.invalidateCaches()
 	logStderr("rolled back %s to v%d", key, ref.Version)
-	writeAdminJSON(w, s.switchResponse(key, ref.Version))
+	writeJSON(w, s.switchResponse(key, ref.Version))
 }
 
 // switchResponse reads the key's post-swap state for a promote/rollback
@@ -263,7 +254,7 @@ func (s *server) handleAdminEvict(w http.ResponseWriter, r *http.Request) {
 		registryError(w, err)
 		return
 	}
-	writeAdminJSON(w, adminEvictResponse{
+	writeJSON(w, adminEvictResponse{
 		Tenant: key.Tenant, Table: key.Table, Dropped: dropped, Forgot: req.Forget,
 	})
 }
@@ -275,5 +266,5 @@ func (s *server) handleAdminRegistry(w http.ResponseWriter, _ *http.Request) {
 	if snap == nil {
 		snap = []registry.EntrySnapshot{}
 	}
-	writeAdminJSON(w, adminRegistryResponse{Entries: snap})
+	writeJSON(w, adminRegistryResponse{Entries: snap})
 }

@@ -131,7 +131,7 @@ func (s *server) handleAdminSynth(w http.ResponseWriter, r *http.Request) {
 	win := res.Winner
 	logStderr("admin: synth %s: winner %s/%s registered as v%d (not promoted; POST /admin/promote to serve it)",
 		key, win.Model, win.Method, newRef.Version)
-	writeAdminJSON(w, adminSynthResponse{
+	writeJSON(w, adminSynthResponse{
 		Tenant:            key.Tenant,
 		Table:             key.Table,
 		SourceVersion:     ref.Version,

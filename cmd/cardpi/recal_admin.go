@@ -42,7 +42,7 @@ func (s *server) handleAdminRecalStatus(w http.ResponseWriter, _ *http.Request) 
 		DriftStatistic:  sanitizeJSON(u.adaptive.DriftStatistic()),
 		RollingCoverage: sanitizeJSON(u.adaptive.RollingCoverage()),
 		CalibrationSize: u.adaptive.CalibrationSize(),
-		Serving:         u.current().resilient.Name(),
+		Serving:         u.current().method,
 		LastCoverage:    -1,
 		LastWidth:       -1,
 	}
@@ -62,7 +62,7 @@ func (s *server) handleAdminRecalStatus(w http.ResponseWriter, _ *http.Request) 
 		resp.LastReason = st.LastReason
 		resp.LastError = st.LastError
 	}
-	writeAdminJSON(w, resp)
+	writeJSON(w, resp)
 }
 
 // handleAdminRecalTrigger answers POST /admin/recal/trigger: force a
@@ -79,7 +79,7 @@ func (s *server) handleAdminRecalTrigger(w http.ResponseWriter, _ *http.Request)
 	}
 	sup.Trigger()
 	logStderr("admin: recalibration episode manually triggered")
-	writeAdminJSON(w, map[string]any{"triggered": true, "state": sup.Status().State})
+	writeJSON(w, map[string]any{"triggered": true, "state": sup.Status().State})
 }
 
 // adminScenarioRequest is the JSON body of POST /admin/scenario. Action
@@ -139,7 +139,7 @@ func (s *server) handleAdminScenario(w http.ResponseWriter, r *http.Request) {
 	// table must become unreachable the moment the mutated clone serves.
 	s.def.invalidate()
 	logStderr("admin: scenario %s mutated %d rows (table now %d rows)", req.Action, changed, clone.NumRows())
-	writeAdminJSON(w, map[string]any{
+	writeJSON(w, map[string]any{
 		"action":  req.Action,
 		"changed": changed,
 		"rows":    clone.NumRows(),

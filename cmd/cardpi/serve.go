@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -356,6 +357,13 @@ type recalOpts struct {
 type servingChain struct {
 	model     cardpi.Estimator
 	resilient *cardpi.Resilient
+	// method is resilient.Name(), the method field of every reply, built
+	// once with the chain rather than concatenated per reply row.
+	method string
+}
+
+func newServingChain(model cardpi.Estimator, resilient *cardpi.Resilient) *servingChain {
+	return &servingChain{model: model, resilient: resilient, method: resilient.Name()}
 }
 
 // servingUnit is one complete serving chain — table, estimator, resilient
@@ -475,7 +483,7 @@ func newServingUnit(s *pipeline.Setup, o unitOpts) (*servingUnit, error) {
 	}
 	u := &servingUnit{adaptive: adaptive, fallback: fallback, uopts: o}
 	u.tab.Store(s.Table)
-	u.chain.Store(&servingChain{model: s.Model, resilient: resilient})
+	u.chain.Store(newServingChain(s.Model, resilient))
 	if o.cacheEntries > 0 {
 		u.cache = cache.New(cache.Config{
 			Entries: o.cacheEntries, Epoch: o.cacheEpoch, Metrics: o.cacheMetrics,
@@ -508,7 +516,7 @@ func (u *servingUnit) swapChain(c *recal.Candidate) error {
 	if err := u.adaptive.RecalibrateModel(c.Model, c.Window); err != nil {
 		return err
 	}
-	u.chain.Store(&servingChain{model: c.Model, resilient: resilient})
+	u.chain.Store(newServingChain(c.Model, resilient))
 	// Publish first, then invalidate: a request racing the swap either
 	// resolved the old chain (and may briefly refill old-epoch entries that
 	// the Put epoch check drops) or sees the new chain with an empty cache.
@@ -572,8 +580,8 @@ type server struct {
 
 // endpointMetrics are one estimate endpoint's request instruments.
 type endpointMetrics struct {
-	ok, bad, shed *obs.Counter
-	lat           *obs.Histogram
+	ok, bad, shed, fail *obs.Counter
+	lat                 *obs.Histogram
 }
 
 // serveScratch is one pooled per-request buffer set. Slices are sized from
@@ -723,6 +731,7 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 			ok:   o.metrics.Counter(requests, help, obs.L("class", "ok")),
 			bad:  o.metrics.Counter(requests, help, obs.L("class", "bad_request")),
 			shed: o.metrics.Counter(requests, help, obs.L("class", "shed")),
+			fail: o.metrics.Counter(requests, help, obs.L("class", "error")),
 			lat: o.metrics.Histogram(seconds,
 				"End-to-end "+path+" latency in seconds, admission wait included.", obs.LatencyBuckets),
 		}
@@ -807,11 +816,7 @@ func (s *server) mux() http.Handler {
 	mux.HandleFunc("POST /admin/synth", s.handleAdminSynth)
 	mux.Handle("GET /metrics", s.metricsHandler)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.health)
+		writeJSON(w, s.health)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -875,12 +880,18 @@ type estimateResponse struct {
 	TrueRows int64   `json:"true_rows"`
 	Covered  bool    `json:"covered"`
 	Drifted  bool    `json:"drifted"`
-	RollCov  float64 `json:"rolling_coverage"`
+	// RollCov is the monitor's rolling coverage. It is NaN while the
+	// window holds no observation (right after a recalibration commit);
+	// JSON replies carry that as -1 (see sanitizeJSON), the binary wire as
+	// NaN.
+	RollCov float64 `json:"rolling_coverage"`
 	// Cached marks replies served without executing the estimator chain:
 	// a cache hit, or a follower of a miss that another request (on either
 	// endpoint) or an earlier row of the same batch is computing. Numeric
 	// fields are bit-identical to an uncached reply; only the live
-	// telemetry (drifted, rolling_coverage) can differ.
+	// telemetry (drifted, rolling_coverage) can differ. That telemetry is
+	// per request: it is read once, after the request's rows are computed,
+	// so every row of a batch reports the same monitor state.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -892,8 +903,7 @@ type estimateResponse struct {
 // corruption, eviction racing a disk loss) degrades to the default unit —
 // the estimate path never turns a registry fault into a 5xx. On ok=false
 // the error response has already been written; the caller only counts it.
-func (s *server) route(w http.ResponseWriter, r *http.Request) (u *servingUnit, bundle string, degraded, ok bool) {
-	values := r.URL.Query()
+func (s *server) route(w http.ResponseWriter, values url.Values) (u *servingUnit, bundle string, degraded, ok bool) {
 	tenant, table := values.Get("tenant"), values.Get("table")
 	if tenant == "" && table == "" {
 		return s.def, "", false, true
@@ -961,7 +971,8 @@ func (s *server) serveEstimate(w http.ResponseWriter, r *http.Request, batch boo
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
 
-	u, bundle, degraded, ok := s.route(w, r)
+	values := r.URL.Query()
+	u, bundle, degraded, ok := s.route(w, values)
 	if !ok {
 		ep.bad.Inc()
 		return
@@ -978,7 +989,7 @@ func (s *server) serveEstimate(w http.ResponseWriter, r *http.Request, batch boo
 	tab, ch := u.table(), u.current()
 	sc := s.scratch.Get().(*serveScratch)
 	defer s.scratch.Put(sc)
-	lines, binary, bad := s.readQueries(r, sc, tab, batch)
+	lines, binary, bad := s.readQueries(r, values, sc, tab, batch)
 	if bad != nil {
 		ep.bad.Inc()
 		httpError(w, http.StatusBadRequest, bad.code, "%s", bad.msg)
@@ -989,29 +1000,66 @@ func (s *server) serveEstimate(w http.ResponseWriter, r *http.Request, batch boo
 	}
 
 	u.estimate(ctx, epoch, tab, ch, lines, sc, bundle, degraded)
-	ep.ok.Inc()
+	// A reply counts as ok only once written. A reply that cannot be
+	// encoded is a counted 500, never a 200 with an empty body.
 	if binary {
-		s.batchWireBinary.Inc()
 		sc.wire = sc.wire[:0]
 		for i := range sc.results {
 			sc.wire = append(sc.wire, wireResult(&sc.results[i], sc.depths[i]))
 		}
 		sc.body = codec.AppendWireResponse(sc.body[:0], uint64(tab.NumRows()), sc.wire)
 		w.Header().Set("Content-Type", codec.WireContentType)
-		_, _ = w.Write(sc.body)
+		if _, err := w.Write(sc.body); err != nil {
+			ep.fail.Inc()
+			return
+		}
+		s.batchWireBinary.Inc()
+		ep.ok.Inc()
 		return
+	}
+	for i := range sc.results {
+		sc.results[i].RollCov = sanitizeJSON(sc.results[i].RollCov)
 	}
 	var body any = &sc.results[0]
 	if batch {
-		s.batchWireJSON.Inc()
 		body = batchResponse{Count: len(sc.results), Results: sc.results}
 	}
+	if err := encodeJSON(&sc.buf, body); err != nil {
+		ep.fail.Inc()
+		httpError(w, http.StatusInternalServerError, "encode_failed", "encode reply: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	sc.buf.Reset()
-	enc := json.NewEncoder(&sc.buf)
+	if _, err := w.Write(sc.buf.Bytes()); err != nil {
+		ep.fail.Inc()
+		return
+	}
+	if batch {
+		s.batchWireJSON.Inc()
+	}
+	ep.ok.Inc()
+}
+
+// encodeJSON replaces buf's contents with v's indented JSON encoding.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	buf.Reset()
+	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
-	_, _ = w.Write(sc.buf.Bytes())
+	return enc.Encode(v)
+}
+
+// writeJSON writes v as a 200 JSON reply. v is encoded before the status
+// line goes out, so a value encoding/json refuses (NaN, ±Inf) becomes a 500
+// with a JSON error body rather than a 200 with an empty one.
+func writeJSON(w http.ResponseWriter, v any) {
+	var buf bytes.Buffer
+	if err := encodeJSON(&buf, v); err != nil {
+		httpError(w, http.StatusInternalServerError, "encode_failed", "encode reply: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // badRequest is a 400 reply: a machine-readable code and its message.
@@ -1025,11 +1073,10 @@ func reject(code, format string, args ...any) *badRequest {
 // a batch of one, or /estimate/batch's JSON or binary body, the latter
 // decoded zero-copy into pooled buffers — then validates and parses each
 // against tab into sc.qs.
-func (s *server) readQueries(r *http.Request, sc *serveScratch, tab *dataset.Table, batch bool) (lines []string, binary bool, bad *badRequest) {
+func (s *server) readQueries(r *http.Request, values url.Values, sc *serveScratch, tab *dataset.Table, batch bool) (lines []string, binary bool, bad *badRequest) {
 	binary = batch && strings.HasPrefix(r.Header.Get("Content-Type"), codec.WireContentType)
 	switch {
 	case !batch:
-		values := r.URL.Query()
 		if !values.Has("q") {
 			return nil, false, reject("missing_query", "missing query parameter q, e.g. /estimate?q=state+%%3D+3")
 		}
@@ -1159,10 +1206,18 @@ func (u *servingUnit) estimate(ctx context.Context, epoch uint64, tab *dataset.T
 			sc.cres[i], sc.depths[i] = r, int(aux)
 		}
 	}
+	// The monitor is read once per request, after every row's observation.
+	mon := monitorState{drifted: u.adaptive.Drifted(), rollCov: u.adaptive.RollingCoverage()}
 	sc.results = sc.results[:0]
 	for i := range sc.qs {
-		sc.results = append(sc.results, u.render(ch, tab, lines[i], sc.cres[i], sc.depths[i], bundle, degraded, sc.cached[i]))
+		sc.results = append(sc.results, render(ch, tab, lines[i], sc.cres[i], sc.depths[i], bundle, degraded, sc.cached[i], mon))
 	}
+}
+
+// monitorState is the drift-monitor telemetry a request's replies carry.
+type monitorState struct {
+	drifted bool
+	rollCov float64
 }
 
 // computeResult produces the cacheable core of a reply — the interval, the
@@ -1190,15 +1245,15 @@ func (u *servingUnit) computeResult(ch *servingChain, tab *dataset.Table, q work
 // render assembles the JSON reply around a computed (or cached) core
 // result. Covered is re-derived from the cached floats — the derivation is
 // deterministic, so a hit renders bit-for-bit what the original miss did —
-// while drifted/rolling_coverage are read live: they describe the monitor
-// now, not the request that filled the entry.
-func (u *servingUnit) render(ch *servingChain, tab *dataset.Table, line string, res cache.Result, depth int, bundle string, degraded, cached bool) estimateResponse {
+// while drifted/rolling_coverage come from mon, the monitor as this request
+// read it, not as the request that filled the entry saw it.
+func render(ch *servingChain, tab *dataset.Table, line string, res cache.Result, depth int, bundle string, degraded, cached bool, mon monitorState) estimateResponse {
 	n := int64(tab.NumRows())
 	iv := cardpi.Interval{Lo: res.Lo, Hi: res.Hi}
 	cardIv := cardpi.CardinalityInterval(iv, n)
 	resp := estimateResponse{
 		Query:    line,
-		Method:   ch.resilient.Name(),
+		Method:   ch.method,
 		ServedBy: ch.stageName(depth),
 		Bundle:   bundle,
 		Degraded: depth > 0 || degraded,
@@ -1209,8 +1264,8 @@ func (u *servingUnit) render(ch *servingChain, tab *dataset.Table, line string, 
 		LoRows:   cardIv.Lo,
 		HiRows:   cardIv.Hi,
 		TrueRows: -1,
-		Drifted:  u.adaptive.Drifted(),
-		RollCov:  u.adaptive.RollingCoverage(),
+		Drifted:  mon.drifted,
+		RollCov:  mon.rollCov,
 		Cached:   cached,
 	}
 	if res.HasTruth {

@@ -42,7 +42,8 @@ func freeAddr(t *testing.T) string {
 // on a keep-alive connection that then sits idle, sends SIGINT, and
 // requires exit status 0 within the drain timeout plus 2 s: an idle client
 // or the supervisor goroutine must not hold shutdown open. The child is
-// killed on any failure, so the test never leaves a server behind.
+// killed on any failure, and dies with the test binary (dieWithParent), so
+// the test never leaves a server behind.
 func TestServeGracefulShutdownWithIdleKeepAlive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a server process")
@@ -54,6 +55,7 @@ func TestServeGracefulShutdownWithIdleKeepAlive(t *testing.T) {
 		"-model", "histogram", "-method", "s-cp", "-recal=true",
 		"-drain", drain.String())
 	cmd.Env = append(os.Environ(), execMainEnv+"=1")
+	dieWithParent(cmd)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {

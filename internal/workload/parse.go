@@ -19,30 +19,30 @@ import (
 //	age >= 20 AND age < 65 AND sex = 1
 //
 // Open-ended comparisons are closed using the column's domain bounds.
+//
+// ParseQuery runs on every serving request, so it allocates exactly once on
+// success: the returned predicate slice. Tokens and merged bounds live in
+// stack buffers (see DESIGN.md "Query parser").
 func ParseQuery(t *dataset.Table, input string) (Query, error) {
-	toks, err := lex(input)
+	var tokBuf [32]token
+	toks, err := lex(input, tokBuf[:0])
 	if err != nil {
 		return Query{}, err
 	}
-	p := &parser{toks: toks}
+	p := parser{toks: toks}
 	if err := p.header(t.Name); err != nil {
 		return Query{}, err
 	}
-	resolve := func(table, col string) (*dataset.Column, string, error) {
-		if table != "" && !strings.EqualFold(table, t.Name) {
-			return nil, "", fmt.Errorf("workload: unknown table %q (query is over %q)", table, t.Name)
-		}
-		c := t.Column(col)
-		if c == nil {
-			return nil, "", fmt.Errorf("workload: table %q has no column %q", t.Name, col)
-		}
-		return c, t.Name, nil
-	}
-	preds, err := p.conjunction(resolve)
-	if err != nil {
+	var boundBuf [8]bound
+	bounds, err := p.conjunction(&scope{table: t}, boundBuf[:0])
+	if err != nil || len(bounds) == 0 {
 		return Query{}, err
 	}
-	return Query{Preds: preds[t.Name]}, nil
+	preds := make([]dataset.Predicate, len(bounds))
+	for i := range bounds {
+		preds[i] = bounds[i].predicate()
+	}
+	return Query{Preds: preds}, nil
 }
 
 // ParseJoinQuery parses a SQL-ish select-project-join query over a star
@@ -52,11 +52,12 @@ func ParseQuery(t *dataset.Table, input string) (Query, error) {
 // participating tables. Join conditions are implicit (the schema's key
 // edges), as in the templated workloads.
 func ParseJoinQuery(s *dataset.Schema, input string) (Query, error) {
-	toks, err := lex(input)
+	var tokBuf [32]token
+	toks, err := lex(input, tokBuf[:0])
 	if err != nil {
 		return Query{}, err
 	}
-	p := &parser{toks: toks}
+	p := parser{toks: toks}
 	tables, err := p.joinHeader(s)
 	if err != nil {
 		return Query{}, err
@@ -74,36 +75,13 @@ func ParseJoinQuery(s *dataset.Schema, input string) (Query, error) {
 		participating[name] = jt.Table
 		joined = append(joined, name)
 	}
-	resolve := func(table, col string) (*dataset.Column, string, error) {
-		if table != "" {
-			t, ok := participating[table]
-			if !ok {
-				return nil, "", fmt.Errorf("workload: table %q not in FROM clause", table)
-			}
-			c := t.Column(col)
-			if c == nil {
-				return nil, "", fmt.Errorf("workload: table %q has no column %q", table, col)
-			}
-			return c, table, nil
-		}
-		var found *dataset.Column
-		var owner string
-		for name, t := range participating {
-			if c := t.Column(col); c != nil {
-				if found != nil {
-					return nil, "", fmt.Errorf("workload: column %q is ambiguous; qualify it", col)
-				}
-				found, owner = c, name
-			}
-		}
-		if found == nil {
-			return nil, "", fmt.Errorf("workload: no participating table has column %q", col)
-		}
-		return found, owner, nil
-	}
-	preds, err := p.conjunction(resolve)
+	bounds, err := p.conjunction(&scope{participating: participating}, nil)
 	if err != nil {
 		return Query{}, err
+	}
+	preds := make(map[string][]dataset.Predicate)
+	for i := range bounds {
+		preds[bounds[i].table] = append(preds[bounds[i].table], bounds[i].predicate())
 	}
 	return Query{Join: &dataset.JoinQuery{Tables: joined, Preds: preds}}, nil
 }
@@ -119,44 +97,60 @@ const (
 	tokOp     // = <= >= < > ( ) , . *
 )
 
+// token is one lexeme; text is always a substring of the input.
 type token struct {
 	kind tokKind
 	text string
 }
 
-func lex(input string) ([]token, error) {
-	var toks []token
+// Byte classes of the lexer. The grammar reads its input a byte at a time
+// and classifies byte b as the code point rune(b), so bytes >= 0x80 take
+// their Latin-1 meaning (0xA0 is a space, 0xE9 a letter). byteClass is built
+// from exactly those unicode calls, which keeps the accepted language
+// identical while a lookup replaces the calls on the hot path.
+const (
+	clsSpace      uint8 = 1 << iota // unicode.IsSpace
+	clsDigit                        // unicode.IsDigit
+	clsIdentStart                   // unicode.IsLetter or '_'
+	clsIdentPart                    // letter, digit or '_'
+)
+
+var byteClass = func() (cls [256]uint8) {
+	for b := range cls {
+		r := rune(b)
+		if unicode.IsSpace(r) {
+			cls[b] |= clsSpace
+		}
+		if unicode.IsDigit(r) {
+			cls[b] |= clsDigit | clsIdentPart
+		}
+		if unicode.IsLetter(r) || r == '_' {
+			cls[b] |= clsIdentStart | clsIdentPart
+		}
+	}
+	return cls
+}()
+
+// lex appends input's tokens to toks and returns the extended slice. With
+// enough spare capacity in toks it performs no heap allocations.
+func lex(input string, toks []token) ([]token, error) {
 	i := 0
 	for i < len(input) {
-		ch := rune(input[i])
+		ch := input[i]
+		cls := byteClass[ch]
 		switch {
-		case unicode.IsSpace(ch):
+		case cls&clsSpace != 0:
 			i++
-		case ch == '(' || ch == ')' || ch == ',' || ch == '.' || ch == '*' || ch == '=':
-			toks = append(toks, token{tokOp, string(ch)})
-			i++
-		case ch == '<' || ch == '>':
-			if i+1 < len(input) && input[i+1] == '=' {
-				toks = append(toks, token{tokOp, input[i : i+2]})
-				i += 2
-			} else {
-				toks = append(toks, token{tokOp, string(ch)})
-				i++
-			}
-		case ch == '\'' || ch == '"':
-			quote := byte(ch)
+		case cls&clsIdentStart != 0:
 			j := i + 1
-			for j < len(input) && input[j] != quote {
+			for j < len(input) && byteClass[input[j]]&clsIdentPart != 0 {
 				j++
 			}
-			if j >= len(input) {
-				return nil, fmt.Errorf("workload: unterminated string literal at position %d", i)
-			}
-			toks = append(toks, token{tokString, input[i+1 : j]})
-			i = j + 1
-		case ch == '-' || unicode.IsDigit(ch):
+			toks = append(toks, token{tokIdent, input[i:j]})
+			i = j
+		case ch == '-' || cls&clsDigit != 0:
 			j := i + 1
-			for j < len(input) && unicode.IsDigit(rune(input[j])) {
+			for j < len(input) && byteClass[input[j]]&clsDigit != 0 {
 				j++
 			}
 			if j == i+1 && ch == '-' {
@@ -164,15 +158,28 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{tokNumber, input[i:j]})
 			i = j
-		case unicode.IsLetter(ch) || ch == '_':
+		case ch == '(' || ch == ')' || ch == ',' || ch == '.' || ch == '*' || ch == '=':
+			toks = append(toks, token{tokOp, input[i : i+1]})
+			i++
+		case ch == '<' || ch == '>':
+			n := 1
+			if i+1 < len(input) && input[i+1] == '=' {
+				n = 2
+			}
+			toks = append(toks, token{tokOp, input[i : i+n]})
+			i += n
+		case ch == '\'' || ch == '"':
 			j := i + 1
-			for j < len(input) && (unicode.IsLetter(rune(input[j])) || unicode.IsDigit(rune(input[j])) || input[j] == '_') {
+			for j < len(input) && input[j] != ch {
 				j++
 			}
-			toks = append(toks, token{tokIdent, input[i:j]})
-			i = j
+			if j >= len(input) {
+				return nil, fmt.Errorf("workload: unterminated string literal at position %d", i)
+			}
+			toks = append(toks, token{tokString, input[i+1 : j]})
+			i = j + 1
 		default:
-			return nil, fmt.Errorf("workload: unexpected character %q at position %d", ch, i)
+			return nil, fmt.Errorf("workload: unexpected character %q at position %d", rune(ch), i)
 		}
 	}
 	return toks, nil
@@ -291,38 +298,101 @@ func (p *parser) countStar() error {
 	return p.expectOp(")")
 }
 
-// resolver maps (optional table qualifier, column name) to the column and
-// its owning table name.
-type resolver func(table, col string) (*dataset.Column, string, error)
+// scope resolves (optional table qualifier, column name) to the column and
+// its owning table name: over one table for ParseQuery, or over a join's
+// participating tables for ParseJoinQuery.
+type scope struct {
+	table         *dataset.Table
+	participating map[string]*dataset.Table
+}
 
-// conjunction parses "pred AND pred AND ..." into per-table predicates,
-// merging multiple constraints on the same column into one range.
-func (p *parser) conjunction(resolve resolver) (map[string][]dataset.Predicate, error) {
-	type bound struct {
-		col    *dataset.Column
-		table  string
-		name   string
-		lo, hi int64
+func (s *scope) resolve(table, col string) (*dataset.Column, string, error) {
+	if t := s.table; t != nil {
+		if table != "" && !strings.EqualFold(table, t.Name) {
+			return nil, "", fmt.Errorf("workload: unknown table %q (query is over %q)", table, t.Name)
+		}
+		c := t.Column(col)
+		if c == nil {
+			return nil, "", fmt.Errorf("workload: table %q has no column %q", t.Name, col)
+		}
+		return c, t.Name, nil
 	}
-	bounds := make(map[string]*bound) // keyed table.col
+	if table != "" {
+		t, ok := s.participating[table]
+		if !ok {
+			return nil, "", fmt.Errorf("workload: table %q not in FROM clause", table)
+		}
+		c := t.Column(col)
+		if c == nil {
+			return nil, "", fmt.Errorf("workload: table %q has no column %q", table, col)
+		}
+		return c, table, nil
+	}
+	var found *dataset.Column
+	var owner string
+	for name, t := range s.participating {
+		if c := t.Column(col); c != nil {
+			if found != nil {
+				return nil, "", fmt.Errorf("workload: column %q is ambiguous; qualify it", col)
+			}
+			found, owner = c, name
+		}
+	}
+	if found == nil {
+		return nil, "", fmt.Errorf("workload: no participating table has column %q", col)
+	}
+	return found, owner, nil
+}
+
+// bound is the closed range a conjunction puts on one (table, column).
+type bound struct {
+	table, name string
+	lo, hi      int64
+}
+
+// predicate renders the bound as the parser's output predicate: a point
+// when lo == hi, a range otherwise.
+func (b *bound) predicate() dataset.Predicate {
+	if b.lo == b.hi {
+		return dataset.Predicate{Col: b.name, Op: dataset.OpEq, Lo: b.lo}
+	}
+	return dataset.Predicate{Col: b.name, Op: dataset.OpRange, Lo: b.lo, Hi: b.hi}
+}
+
+// less orders bounds by (table, column). Within one table that is the
+// order of their "table.column" keys; across tables only the per-table
+// order is observable, since a join query's predicates are grouped by table.
+func (b *bound) less(o *bound) bool {
+	if b.table != o.table {
+		return b.table < o.table
+	}
+	return b.name < o.name
+}
+
+// conjunction parses "pred AND pred AND ..." into dst, one bound per
+// (table, column): repeated constraints on a column intersect into one
+// range. The bounds come back sorted by (table, column). Queries
+// have a handful of conjuncts, so a linear search merges and an insertion
+// sort orders them; with enough spare capacity in dst neither allocates.
+func (p *parser) conjunction(sc *scope, dst []bound) ([]bound, error) {
 	if _, any := p.peek(); !any {
-		return map[string][]dataset.Predicate{}, nil
+		return dst, nil
 	}
 	for {
-		lo, hi, col, table, name, err := p.predicate(resolve)
+		lo, hi, table, name, err := p.predicate(sc)
 		if err != nil {
 			return nil, err
 		}
-		key := table + "." + name
-		if b, seen := bounds[key]; seen {
-			if lo > b.lo {
-				b.lo = lo
+		merged := false
+		for i := range dst {
+			if b := &dst[i]; b.table == table && b.name == name {
+				b.lo, b.hi = max(b.lo, lo), min(b.hi, hi)
+				merged = true
+				break
 			}
-			if hi < b.hi {
-				b.hi = hi
-			}
-		} else {
-			bounds[key] = &bound{col: col, table: table, name: name, lo: lo, hi: hi}
+		}
+		if !merged {
+			dst = append(dst, bound{table: table, name: name, lo: lo, hi: hi})
 		}
 		if !p.acceptKeyword("and") {
 			break
@@ -331,52 +401,35 @@ func (p *parser) conjunction(resolve resolver) (map[string][]dataset.Predicate, 
 	if t, extra := p.peek(); extra {
 		return nil, fmt.Errorf("workload: unexpected trailing token %q", t.text)
 	}
-	out := make(map[string][]dataset.Predicate)
-	// Deterministic order: iterate tokens again is complex; sort keys.
-	keys := make([]string, 0, len(bounds))
-	for k := range bounds {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	for _, k := range keys {
-		b := bounds[k]
-		pr := dataset.Predicate{Col: b.name, Op: dataset.OpRange, Lo: b.lo, Hi: b.hi}
-		if b.lo == b.hi {
-			pr = dataset.Predicate{Col: b.name, Op: dataset.OpEq, Lo: b.lo}
-		}
-		out[b.table] = append(out[b.table], pr)
-	}
-	return out, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && dst[j].less(&dst[j-1]); j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
 		}
 	}
+	return dst, nil
 }
 
 // predicate parses one comparison and returns its closed range.
-func (p *parser) predicate(resolve resolver) (lo, hi int64, col *dataset.Column, table, name string, err error) {
+func (p *parser) predicate(sc *scope) (lo, hi int64, table, name string, err error) {
+	var col *dataset.Column
 	t, ok := p.peek()
 	if !ok {
-		return 0, 0, nil, "", "", fmt.Errorf("workload: expected predicate")
+		return 0, 0, "", "", fmt.Errorf("workload: expected predicate")
 	}
 	if t.kind == tokNumber {
 		// "20 <= age" or "20 < age" prefix form (possibly "20 <= age <= 40").
 		p.pos++
-		v, perr := strconv.ParseInt(t.text, 10, 64)
+		v, perr := parseInt(t.text)
 		if perr != nil {
-			return 0, 0, nil, "", "", fmt.Errorf("workload: bad number %q", t.text)
+			return 0, 0, "", "", fmt.Errorf("workload: bad number %q", t.text)
 		}
 		op, ok := p.next()
 		if !ok || op.kind != tokOp || (op.text != "<=" && op.text != "<") {
-			return 0, 0, nil, "", "", fmt.Errorf("workload: expected <= or < after number")
+			return 0, 0, "", "", fmt.Errorf("workload: expected <= or < after number")
 		}
-		col, table, name, err = p.columnRef(resolve)
+		col, table, name, err = p.columnRef(sc)
 		if err != nil {
-			return 0, 0, nil, "", "", err
+			return 0, 0, "", "", err
 		}
 		lo = v
 		if op.text == "<" {
@@ -388,78 +441,78 @@ func (p *parser) predicate(resolve resolver) (lo, hi int64, col *dataset.Column,
 			p.pos++
 			nt, ok := p.next()
 			if !ok || nt.kind != tokNumber {
-				return 0, 0, nil, "", "", fmt.Errorf("workload: expected number after %q", nx.text)
+				return 0, 0, "", "", fmt.Errorf("workload: expected number after %q", nx.text)
 			}
-			u, perr := strconv.ParseInt(nt.text, 10, 64)
+			u, perr := parseInt(nt.text)
 			if perr != nil {
-				return 0, 0, nil, "", "", fmt.Errorf("workload: bad number %q", nt.text)
+				return 0, 0, "", "", fmt.Errorf("workload: bad number %q", nt.text)
 			}
 			hi = u
 			if nx.text == "<" {
 				hi = u - 1
 			}
 		}
-		return lo, hi, col, table, name, nil
+		return lo, hi, table, name, nil
 	}
 
 	// Column-first form.
-	col, table, name, err = p.columnRef(resolve)
+	col, table, name, err = p.columnRef(sc)
 	if err != nil {
-		return 0, 0, nil, "", "", err
+		return 0, 0, "", "", err
 	}
 	if p.acceptKeyword("between") {
 		a, err := p.number()
 		if err != nil {
-			return 0, 0, nil, "", "", err
+			return 0, 0, "", "", err
 		}
 		if !p.acceptKeyword("and") {
-			return 0, 0, nil, "", "", fmt.Errorf("workload: expected AND in BETWEEN")
+			return 0, 0, "", "", fmt.Errorf("workload: expected AND in BETWEEN")
 		}
 		b, err := p.number()
 		if err != nil {
-			return 0, 0, nil, "", "", err
+			return 0, 0, "", "", err
 		}
-		return a, b, col, table, name, nil
+		return a, b, table, name, nil
 	}
 	op, ok := p.next()
 	if !ok || op.kind != tokOp {
-		return 0, 0, nil, "", "", fmt.Errorf("workload: expected comparison operator")
+		return 0, 0, "", "", fmt.Errorf("workload: expected comparison operator")
 	}
 	// String literal: only equality, resolved through the column dictionary
 	// (columns loaded from CSV keep their original string values).
 	if t, ok := p.peek(); ok && t.kind == tokString {
 		p.pos++
 		if op.text != "=" {
-			return 0, 0, nil, "", "", fmt.Errorf("workload: string literals support only '='")
+			return 0, 0, "", "", fmt.Errorf("workload: string literals support only '='")
 		}
 		code, ok := col.Code(t.text)
 		if !ok {
-			return 0, 0, nil, "", "", fmt.Errorf("workload: column %q has no value %q", name, t.text)
+			return 0, 0, "", "", fmt.Errorf("workload: column %q has no value %q", name, t.text)
 		}
-		return code, code, col, table, name, nil
+		return code, code, table, name, nil
 	}
 	v, err := p.number()
 	if err != nil {
-		return 0, 0, nil, "", "", err
+		return 0, 0, "", "", err
 	}
 	switch op.text {
 	case "=":
-		return v, v, col, table, name, nil
+		return v, v, table, name, nil
 	case "<=":
-		return domainMin(col), v, col, table, name, nil
+		return domainMin(col), v, table, name, nil
 	case "<":
-		return domainMin(col), v - 1, col, table, name, nil
+		return domainMin(col), v - 1, table, name, nil
 	case ">=":
-		return v, domainMax(col), col, table, name, nil
+		return v, domainMax(col), table, name, nil
 	case ">":
-		return v + 1, domainMax(col), col, table, name, nil
+		return v + 1, domainMax(col), table, name, nil
 	default:
-		return 0, 0, nil, "", "", fmt.Errorf("workload: unsupported operator %q", op.text)
+		return 0, 0, "", "", fmt.Errorf("workload: unsupported operator %q", op.text)
 	}
 }
 
 // columnRef parses "[table .] column".
-func (p *parser) columnRef(resolve resolver) (*dataset.Column, string, string, error) {
+func (p *parser) columnRef(sc *scope) (*dataset.Column, string, string, error) {
 	t, ok := p.next()
 	if !ok || t.kind != tokIdent {
 		return nil, "", "", fmt.Errorf("workload: expected column name, got %q", t.text)
@@ -473,7 +526,7 @@ func (p *parser) columnRef(resolve resolver) (*dataset.Column, string, string, e
 		}
 		table, name = t.text, ct.text
 	}
-	col, owner, err := resolve(table, name)
+	col, owner, err := sc.resolve(table, name)
 	if err != nil {
 		return nil, "", "", err
 	}
@@ -485,7 +538,29 @@ func (p *parser) number() (int64, error) {
 	if !ok || t.kind != tokNumber {
 		return 0, fmt.Errorf("workload: expected number, got %q", t.text)
 	}
-	return strconv.ParseInt(t.text, 10, 64)
+	return parseInt(t.text)
+}
+
+// parseInt is strconv.ParseInt(s, 10, 64) for a number token, which the
+// lexer guarantees is an optional '-' and at least one ASCII digit. Up to 18
+// digits cannot overflow int64, so they are converted inline; longer tokens
+// go through strconv, which also words the out-of-range error.
+func parseInt(s string) (int64, error) {
+	digits := s
+	if s[0] == '-' {
+		digits = s[1:]
+	}
+	if len(digits) > 18 {
+		return strconv.ParseInt(s, 10, 64)
+	}
+	var v int64
+	for i := 0; i < len(digits); i++ {
+		v = v*10 + int64(digits[i]-'0')
+	}
+	if s[0] == '-' {
+		v = -v
+	}
+	return v, nil
 }
 
 func domainMin(c *dataset.Column) int64 {
