@@ -263,12 +263,21 @@ func (a *Adaptive) Interval(q workload.Query) (Interval, error) {
 }
 
 // Observe feeds back a query's true selectivity (in [0, 1]) after
-// execution: the calibration set, the drift monitor, and the rolling
-// coverage telemetry are all updated. Non-finite predictions or truths (a
-// diverged model, a corrupt oracle) are dropped rather than poisoning the
-// calibration scores. Safe for concurrent use.
+// execution, scoring the current model's estimate for q: it is
+// ObservePrediction with the prediction computed here. Safe for concurrent
+// use.
 func (a *Adaptive) Observe(q workload.Query, trueSel float64) {
-	pred := a.currentModel().EstimateSelectivity(q)
+	a.ObservePrediction(a.currentModel().EstimateSelectivity(q), trueSel)
+}
+
+// ObservePrediction feeds back a true selectivity (in [0, 1]) together with
+// the model's prediction for the same query, for callers that already hold
+// that prediction and need not run the model again: the calibration set,
+// the drift monitor, and the rolling coverage telemetry are all updated.
+// Non-finite predictions or truths (a diverged model, a corrupt oracle) are
+// dropped, and counted, rather than poisoning the calibration scores. Safe
+// for concurrent use.
+func (a *Adaptive) ObservePrediction(pred, trueSel float64) {
 	if math.IsNaN(pred) || math.IsInf(pred, 0) || math.IsNaN(trueSel) || math.IsInf(trueSel, 0) {
 		if a.droppedTotal != nil {
 			a.droppedTotal.Inc()

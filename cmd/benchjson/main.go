@@ -1,7 +1,8 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
 // performance record. `make bench-json` pipes the NN-core benchmarks
 // (BenchmarkFit, BenchmarkEvaluate, BenchmarkIntervalCV) through it into
-// BENCH_nn.json, the batched-inference benchmarks into BENCH_pi.json, and
+// BENCH_nn.json, the batched-inference, localized-CP kernel and scalar MSCN
+// benchmarks into BENCH_pi.json, and
 // the worker-count scaling matrix (BenchmarkIntervalBatchMT) into
 // BENCH_batch_mt.json, the count oracle (BenchmarkCount against
 // BenchmarkCountRowScan) into BENCH_count.json, and the query parser
@@ -175,6 +176,11 @@ func speedups(bs []Benchmark) map[string]float64 {
 				"BenchmarkIntervalBatch/"+method+"/n="+n)
 		}
 	}
+	// The serve-shaped localized-CP kernel against its full-sort reference,
+	// and scalar MSCN inference against the training-path forward
+	// (BENCH_pi.json).
+	ratio("localdelta_servebench-shaped_vs_ref", "BenchmarkLocalDeltaRef/servebench-shaped", "BenchmarkLocalDelta/servebench-shaped")
+	ratio("mscn_estimate_servebench-shaped_vs_forward", "BenchmarkEstimateSelectivityForward/servebench-shaped", "BenchmarkEstimateSelectivity/servebench-shaped")
 	// The column-at-a-time count kernel against the row-at-a-time
 	// reference, and the 100k-row fan-out against one goroutine
 	// (BENCH_count.json).

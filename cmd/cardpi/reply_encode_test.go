@@ -16,11 +16,13 @@ import (
 )
 
 // recalOnEstimate wraps a model and, once armed with the serving unit's
-// monitor, commits a recalibration on every point estimate. serve takes a
-// row's point estimate after feeding the monitor, so the commit lands
-// between a request's observation and its render — the window a concurrent
-// recalibration (supervisor swap, admin trigger) can hit, in which the
-// monitor's rolling-coverage window is empty and reads NaN.
+// monitor, commits a recalibration on every point estimate and then reports
+// a non-finite estimate, as a model that diverged right after a swap would.
+// serve takes a row's point estimate before feeding the monitor, and the
+// monitor drops a non-finite estimate, so each row's commit empties the
+// rolling-coverage window and nothing refills it before render — the window
+// a concurrent recalibration (supervisor swap, admin trigger) can hit, in
+// which the monitor reads NaN.
 type recalOnEstimate struct {
 	cardpi.Estimator
 	adaptive atomic.Pointer[cardpi.Adaptive]
@@ -28,10 +30,14 @@ type recalOnEstimate struct {
 }
 
 func (m *recalOnEstimate) EstimateSelectivity(q workload.Query) float64 {
-	if a := m.adaptive.Load(); a != nil && a.Recalibrate(nil) != nil {
+	a := m.adaptive.Load()
+	if a == nil {
+		return m.Estimator.EstimateSelectivity(q)
+	}
+	if a.Recalibrate(nil) != nil {
 		m.failed.Store(true)
 	}
-	return m.Estimator.EstimateSelectivity(q)
+	return math.NaN()
 }
 
 // TestServeRepliesDecodeAfterRecalibration: a reply rendered right after a

@@ -1227,16 +1227,23 @@ type monitorState struct {
 // bit-identically until an epoch bump retires the (chain, table) pair it
 // was computed against. The demo owns the oracle, so it can score itself; a
 // panicking or erroring model/oracle degrades the telemetry fields, never
-// the reply.
+// the reply. The model runs once: the monitor scores the same raw estimate
+// the reply carries.
 func (u *servingUnit) computeResult(ch *servingChain, tab *dataset.Table, q workload.Query, iv cardpi.Interval) cache.Result {
+	pred, predOK := rawEstimate(ch.model, q)
 	truth, truthOK := groundTruth(tab, q)
-	if truthOK {
-		u.observe(q, float64(truth)/float64(tab.NumRows()))
-	} else {
+	if truthOK && predOK {
+		u.observe(q, pred, float64(truth)/float64(tab.NumRows()))
+	}
+	if !truthOK {
 		truth = -1
 	}
+	est := pred
+	if !predOK || math.IsNaN(est) || math.IsInf(est, 0) {
+		est = -1
+	}
 	return cache.Result{
-		Est: safeEstimate(ch.model, q),
+		Est: est,
 		Lo:  iv.Lo, Hi: iv.Hi,
 		TrueRows: truth, HasTruth: truthOK,
 	}
@@ -1365,32 +1372,25 @@ func groundTruth(tab *dataset.Table, q workload.Query) (truth int64, ok bool) {
 	return t, true
 }
 
-// safeEstimate is the model's point estimate with panics and non-finite
-// values absorbed: a down or NaN-spewing model yields the sentinel -1
+// rawEstimate is the model's point estimate with a panic absorbed (ok =
+// false). A non-finite estimate is returned as is: the monitor counts it as
+// a dropped observation, and the reply carries the sentinel -1 instead
 // (encoding/json cannot marshal NaN/Inf, and the interval fields are what
 // callers should trust anyway).
-func safeEstimate(model cardpi.Estimator, q workload.Query) (est float64) {
-	defer func() {
-		if recover() != nil {
-			est = -1
-		}
-	}()
-	est = model.EstimateSelectivity(q)
-	if math.IsNaN(est) || math.IsInf(est, 0) {
-		est = -1
-	}
-	return est
+func rawEstimate(model cardpi.Estimator, q workload.Query) (est float64, ok bool) {
+	defer func() { _ = recover() }()
+	return model.EstimateSelectivity(q), true
 }
 
-// observe feeds the adaptive monitor and, when the self-healing loop is
-// enabled, the recal supervisor's rolling window — kicking the supervisor on
-// every drifted observation. The kick is level-triggered on purpose: a
-// failed or rejected episode re-arms for as long as the drift persists,
-// instead of waiting for a second alarm edge that never comes. Model panics
-// are absorbed.
-func (u *servingUnit) observe(q workload.Query, trueSel float64) {
+// observe feeds the adaptive monitor the served model's estimate pred and
+// the truth and, when the self-healing loop is enabled, the recal
+// supervisor's rolling window — kicking the supervisor on every drifted
+// observation. The kick is level-triggered on purpose: a failed or rejected
+// episode re-arms for as long as the drift persists, instead of waiting for
+// a second alarm edge that never comes. Panics are absorbed.
+func (u *servingUnit) observe(q workload.Query, pred, trueSel float64) {
 	defer func() { _ = recover() }()
-	u.adaptive.Observe(q, trueSel)
+	u.adaptive.ObservePrediction(pred, trueSel)
 	if u.recal != nil {
 		u.recal.Record(q, trueSel)
 		if u.adaptive.Drifted() {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -611,5 +612,117 @@ func TestServeBatchAllocsBounded(t *testing.T) {
 	}
 	if binPerQ > jsonPerQ+1 {
 		t.Errorf("binary path (%.2f allocs/query) should not exceed JSON path (%.2f)", binPerQ, jsonPerQ)
+	}
+}
+
+// countingModel counts point estimates taken on the wrapped model.
+type countingModel struct {
+	cardpi.Estimator
+	calls atomic.Int64
+}
+
+func (m *countingModel) EstimateSelectivity(q workload.Query) float64 {
+	m.calls.Add(1)
+	return m.Estimator.EstimateSelectivity(q)
+}
+
+// TestServeOneForwardPerComputedRow: on a cache-off mscn + lcp server,
+// serve runs the chain's model once per computed row — for the reply's
+// point estimate — and the monitor scores that same estimate instead of
+// running the model again. The interval itself comes from the PI, which
+// holds its own reference to the model, so it does not count here.
+func TestServeOneForwardPerComputedRow(t *testing.T) {
+	setup, err := pipeline.Build(pipeline.Config{
+		Dataset: "dmv", Model: "mscn", Method: "lcp",
+		Alpha: 0.1, Rows: 2000, Queries: 400, Seed: 1, Epochs: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &countingModel{Estimator: setup.Model}
+	setup.Model = model
+	ts, srv, _ := startServer(t, setup, serveOpts{})
+	adaptive := srv.def.adaptive
+
+	calls, calSize := model.calls.Load(), adaptive.CalibrationSize()
+	if code, _, body := getEstimate(t, ts.URL, "state = 3 AND body_type = 2", "", ""); code != http.StatusOK {
+		t.Fatalf("/estimate status %d: %s", code, body)
+	}
+	if got := model.calls.Load() - calls; got != 1 {
+		t.Fatalf("/estimate ran the model %d times, want 1", got)
+	}
+	if got := adaptive.CalibrationSize() - calSize; got != 1 {
+		t.Fatalf("/estimate made %d observations, want 1", got)
+	}
+
+	calls, calSize = model.calls.Load(), adaptive.CalibrationSize()
+	resp := postBatch(t, ts, []string{"state = 3", "county = 10 AND body_type = 2", "model_year BETWEEN 40 AND 90"})
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/estimate/batch status %d: %s", resp.StatusCode, body)
+	}
+	if got := model.calls.Load() - calls; got != 3 {
+		t.Fatalf("3-row /estimate/batch ran the model %d times, want 3", got)
+	}
+	if got := adaptive.CalibrationSize() - calSize; got != 3 {
+		t.Fatalf("3-row /estimate/batch made %d observations, want 3", got)
+	}
+}
+
+// faultyEstimate wraps a model whose point estimate, once armed, panics or
+// returns NaN.
+type faultyEstimate struct {
+	cardpi.Estimator
+	mode atomic.Value // "", "panic" or "nan"
+}
+
+func (m *faultyEstimate) EstimateSelectivity(q workload.Query) float64 {
+	switch m.mode.Load() {
+	case "panic":
+		panic("faulty estimate")
+	case "nan":
+		return math.NaN()
+	}
+	return m.Estimator.EstimateSelectivity(q)
+}
+
+// TestServeEstimateFaultsAndMonitor: with the monitor scoring serve's own
+// point estimate, a panicking estimate makes no observation, and a NaN one
+// is dropped and counted; either way the reply is a 200 carrying -1.
+func TestServeEstimateFaultsAndMonitor(t *testing.T) {
+	setup := smallSetup(t)
+	model := &faultyEstimate{Estimator: setup.Model}
+	setup.Model = model
+	ts, srv, reg := startServer(t, setup, serveOpts{})
+	adaptive := srv.def.adaptive
+	dropped := func() string {
+		for _, line := range strings.Split(metricsDumpFor(t, reg), "\n") {
+			if strings.HasPrefix(line, "cardpi_adaptive_dropped_observations_total{") {
+				return line[strings.LastIndexByte(line, ' ')+1:]
+			}
+		}
+		t.Fatal("/metrics lacks cardpi_adaptive_dropped_observations_total")
+		return ""
+	}
+	for _, c := range []struct{ mode, wantDropped string }{{"panic", "0"}, {"nan", "1"}} {
+		model.mode.Store(c.mode)
+		calSize := adaptive.CalibrationSize()
+		code, er, body := getEstimate(t, ts.URL, "state = 3", "", "")
+		if code != http.StatusOK {
+			t.Fatalf("%s: /estimate status %d: %s", c.mode, code, body)
+		}
+		if er.EstSel != -1 {
+			t.Fatalf("%s: est_sel = %v, want -1", c.mode, er.EstSel)
+		}
+		if got := adaptive.CalibrationSize() - calSize; got != 0 {
+			t.Fatalf("%s: %d observations made, want 0", c.mode, got)
+		}
+		if got := dropped(); got != c.wantDropped {
+			t.Fatalf("%s: dropped observations = %s, want %s", c.mode, got, c.wantDropped)
+		}
 	}
 }

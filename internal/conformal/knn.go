@@ -12,18 +12,26 @@ import (
 // bit-identical to the sequential reference.
 //
 // Three strategies cover the practical regimes, none of which sorts the
-// full calibration set per query:
+// full calibration set per query (Localized.localDelta picks one):
 //
 //   - a bucketed k-d tree with (distance, index)-aware pruning for
-//     low-dimensional all-finite features, built once at calibration or
-//     rehydration time — O(log n + k) expected per query on clustered data;
+//     low-dimensional all-finite features (dim <= kdMaxDim), built once at
+//     calibration or rehydration time — O(log n + k) expected per query on
+//     clustered data;
 //   - a bounded max-heap scan with early-abandoned distance accumulation
-//     when K is small relative to n (the high-dimensional featurizer
-//     regime) — O(n) with a small constant because most rows abandon after
-//     a few coordinates;
-//   - quickselect partial selection when K is a large fraction of n, where
-//     neither tree pruning nor early abandonment can skip much work —
-//     expected O(n).
+//     when K is small relative to n (8K <= n, the high-dimensional
+//     featurizer regime) — O(n) with a small constant because most rows
+//     abandon after a few coordinates;
+//   - a selection-only pass when K is a large fraction of n, where neither
+//     tree pruning nor early abandonment can skip much work (the serving
+//     shape: n = 800, K = 200, 44 dims). Every distance goes into a flat
+//     []float64, a quickselect on a copy finds the K-th smallest distance t,
+//     and one index-order pass keeps the rows closer than t plus the first
+//     K − #{d < t} rows at exactly t — expected O(n), and no candidate is
+//     ever ordered.
+//
+// Whichever strategy runs, the conformal order statistic of the K chosen
+// scores is then selected (quantileSelect), not read off a sorted copy.
 
 // kdMaxDim bounds the feature dimensionality the k-d tree is built for;
 // above it axis-aligned pruning degenerates and the scan strategies win.
@@ -35,8 +43,8 @@ const kdLeafSize = 16
 
 // distIdx is one neighbour candidate: squared distance plus calibration
 // index, compared lexicographically (distance first, index second). The
-// index tie-break makes the order total, which both pins down ties exactly
-// as the reference sort does and guarantees quickselect terminates.
+// index tie-break makes the order total, which pins down ties exactly as
+// the reference sort does.
 type distIdx struct {
 	d   float64
 	idx int32
@@ -62,7 +70,7 @@ type kdNode struct {
 // neighborIndex is the prebuilt neighbour-search structure over the
 // calibration features. The tree part (nodes/order) is only present when
 // the features are eligible (uniform dimension <= kdMaxDim, all finite);
-// the scan and quickselect strategies need nothing beyond the raw features,
+// the scan and selection strategies need nothing beyond the raw features,
 // so a nil or tree-less index never blocks the batch path. Immutable after
 // construction and therefore safe for concurrent readers.
 type neighborIndex struct {
@@ -281,51 +289,6 @@ func sqDistWithin(a, b []float64, bound float64) (float64, bool) {
 		return math.Inf(1), true
 	}
 	return s, true
-}
-
-// selectK partially orders cands so its first k entries are the k nearest
-// candidates under the (distance, index) order, in expected O(n) time
-// (quickselect with median-of-three pivoting; the order is total, so
-// termination does not depend on distinct distances).
-func selectK(cands []distIdx, k int) {
-	lo, hi := 0, len(cands)-1
-	for lo < hi {
-		p := partitionDistIdx(cands, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
-	}
-}
-
-// partitionDistIdx is a Lomuto partition around the median of the first,
-// middle, and last elements, returning the pivot's final position.
-func partitionDistIdx(cands []distIdx, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if lessDistIdx(cands[mid], cands[lo]) {
-		cands[mid], cands[lo] = cands[lo], cands[mid]
-	}
-	if lessDistIdx(cands[hi], cands[lo]) {
-		cands[hi], cands[lo] = cands[lo], cands[hi]
-	}
-	if lessDistIdx(cands[hi], cands[mid]) {
-		cands[hi], cands[mid] = cands[mid], cands[hi]
-	}
-	cands[mid], cands[hi] = cands[hi], cands[mid]
-	pivot := cands[hi]
-	i := lo
-	for j := lo; j < hi; j++ {
-		if lessDistIdx(cands[j], pivot) {
-			cands[i], cands[j] = cands[j], cands[i]
-			i++
-		}
-	}
-	cands[i], cands[hi] = cands[hi], cands[i]
-	return i
 }
 
 // finiteVec reports whether every coordinate is finite (no NaN, no ±Inf).

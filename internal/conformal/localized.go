@@ -3,7 +3,6 @@ package conformal
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"cardpi/internal/par"
@@ -86,8 +85,12 @@ func (l *Localized) Interval(feat []float64, pred float64) (Interval, error) {
 // concurrent use — each row-block worker takes its own scratch from
 // knnScratchPool.
 type knnScratch struct {
-	heap  knnHeap
-	cands []distIdx
+	heap knnHeap
+	// dist holds every calibration row's distance to the query and sel a
+	// copy of it that the K-th distance selection permutes (selection
+	// strategy only).
+	dist, sel []float64
+	// local receives the chosen neighbours' scores.
 	local []float64
 }
 
@@ -105,9 +108,9 @@ const lcpMinBlock = 8
 // thresholds into out (len(out) must equal len(feats)). Rows are sharded in
 // contiguous blocks over the batch worker pool (par.RunBlocks); each block
 // worker selects neighbours through the prebuilt index — k-d tree descent,
-// early-abandoning bounded-heap scan, or quickselect partial selection
+// early-abandoning bounded-heap scan, or a K-th-distance selection
 // depending on dimensionality and K — with its own pooled scratch buffer
-// set, and never performs a full calibration-set sort per query. Per-row
+// set, and never sorts the calibration set or the neighbours' scores. Per-row
 // results are bit-identical to the full-sort reference (LocalDelta in the
 // package tests) for any worker count; on failure the lowest-indexed
 // failing row's error is returned (every row is still attempted). Safe for
@@ -154,8 +157,9 @@ func (l *Localized) Intervals(feats [][]float64, preds []float64, out []Interval
 
 // localDelta computes one threshold through the neighbour index using the
 // scratch buffers. Every strategy selects the identical K-candidate set
-// under the (distance, index) total order, so the score multiset — and
-// therefore the conformal quantile — matches the reference sort exactly.
+// under the (distance, index) total order, and the conformal order
+// statistic of their scores is selected, not sorted for, so the threshold
+// matches the reference sort exactly.
 func (l *Localized) localDelta(feat []float64, s *knnScratch) (float64, error) {
 	n := len(l.feats)
 	k := l.K
@@ -165,7 +169,7 @@ func (l *Localized) localDelta(feat []float64, s *knnScratch) (float64, error) {
 	if k < 1 || k > n {
 		return 0, fmt.Errorf("conformal: neighbourhood size %d outside [1, %d]", k, n)
 	}
-	var chosen []distIdx
+	s.local = s.local[:0]
 	switch {
 	case l.index != nil && l.index.nodes != nil && finiteVec(feat):
 		s.heap.reset(k)
@@ -174,31 +178,54 @@ func (l *Localized) localDelta(feat []float64, s *knnScratch) (float64, error) {
 			qTail += feat[i] * feat[i]
 		}
 		l.index.search(l.index.root, feat, qTail, &s.heap)
-		chosen = s.heap.items
+		s.local = l.appendHeapScores(s.local, &s.heap)
 	case 8*k <= n:
 		s.heap.reset(k)
 		scanKNN(l.feats, feat, &s.heap)
-		chosen = s.heap.items
+		s.local = l.appendHeapScores(s.local, &s.heap)
 	default:
-		if cap(s.cands) < n {
-			s.cands = make([]distIdx, n)
+		s.local = l.appendNearestScores(s.local, feat, s)
+	}
+	return quantileSelect(s.local, l.Alpha), nil
+}
+
+// appendHeapScores appends the scores of the heap's K survivors to dst.
+func (l *Localized) appendHeapScores(dst []float64, h *knnHeap) []float64 {
+	for _, c := range h.items {
+		dst = append(dst, l.scores[c.idx])
+	}
+	return dst
+}
+
+// appendNearestScores appends the scores of the K nearest calibration rows
+// to dst without ordering any candidates: it selects the K-th smallest
+// distance t on a copy of the distances, then keeps, in index order, every
+// row closer than t and the first K − #{d < t} rows at exactly t — the set
+// the (distance, index) order puts first. sqDist never returns NaN, so < is
+// a total preorder on the distances.
+func (l *Localized) appendNearestScores(dst, feat []float64, s *knnScratch) []float64 {
+	s.dist = s.dist[:0]
+	for _, f := range l.feats {
+		s.dist = append(s.dist, sqDist(f, feat))
+	}
+	s.sel = append(s.sel[:0], s.dist...)
+	t := selectFloat(s.sel, l.K-1)
+	ties := l.K
+	for _, d := range s.dist {
+		if d < t {
+			ties--
 		}
-		s.cands = s.cands[:n]
-		for i, f := range l.feats {
-			s.cands[i] = distIdx{d: sqDist(f, feat), idx: int32(i)}
+	}
+	for i, d := range s.dist {
+		switch {
+		case d < t:
+			dst = append(dst, l.scores[i])
+		case d == t && ties > 0:
+			dst = append(dst, l.scores[i])
+			ties--
 		}
-		selectK(s.cands, k)
-		chosen = s.cands[:k]
 	}
-	if cap(s.local) < k {
-		s.local = make([]float64, k)
-	}
-	s.local = s.local[:k]
-	for i, c := range chosen {
-		s.local[i] = l.scores[c.idx]
-	}
-	sort.Float64s(s.local)
-	return quantileSorted(s.local, l.Alpha), nil
+	return dst
 }
 
 func sqDist(a, b []float64) float64 {

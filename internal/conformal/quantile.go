@@ -22,6 +22,7 @@ package conformal
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -43,18 +44,91 @@ func Quantile(scores []float64, alpha float64) (float64, error) {
 }
 
 // quantileSorted returns the conformal ⌈(n+1)(1−α)⌉-th smallest entry of a
-// non-empty ascending-sorted slice — the shared kernel of Quantile and the
-// localized batch path, so both read the identical order statistic.
+// non-empty ascending-sorted slice — the shared kernel of Quantile and
+// QuantileOfSorted.
 func quantileSorted(sorted []float64, alpha float64) float64 {
-	n := len(sorted)
+	return sorted[conformalRank(len(sorted), alpha)]
+}
+
+// conformalRank is the 0-based position of the conformal quantile among n
+// ascending scores: ⌈(n+1)(1−α)⌉ − 1, clamped to [0, n−1].
+func conformalRank(n int, alpha float64) int {
 	k := int(math.Ceil((1 - alpha) * float64(n+1)))
-	if k > n {
-		k = n
+	return min(max(k, 1), n) - 1
+}
+
+// quantileSelect returns the same value as Quantile(scores, alpha) for a
+// non-empty slice without sorting it: it selects the conformal order
+// statistic under sort.Float64s' order (NaN before every number) in
+// expected O(n). It permutes scores. Values that compare equal but differ
+// in bits (−0 and +0, NaN payloads) may come back as any one of them, as
+// they may from the sort.
+func quantileSelect(scores []float64, alpha float64) float64 {
+	r := conformalRank(len(scores), alpha)
+	nans := 0
+	for i, v := range scores {
+		if v != v {
+			scores[i], scores[nans] = scores[nans], v
+			nans++
+		}
 	}
-	if k < 1 {
-		k = 1
+	if r < nans {
+		return scores[r]
 	}
-	return sorted[k-1]
+	return selectFloat(scores[nans:], r-nans)
+}
+
+// selectFloat returns the r-th smallest (0-based) value of a NaN-free slice
+// under <, permuting x: quickselect with a median-of-three pivot and a Hoare
+// partition, which splits runs of equal values evenly, so heavy ties cost
+// no more than distinct values. Should an adversarial input exhaust the
+// partition budget, the remaining range is sorted, which bounds the worst
+// case at O(n log n).
+func selectFloat(x []float64, r int) float64 {
+	lo, hi := 0, len(x)
+	for budget := 2 * bits.Len(uint(len(x))); hi-lo > 12; budget-- {
+		if budget == 0 {
+			sort.Float64s(x[lo:hi])
+			return x[r]
+		}
+		a, b, c := x[lo], x[lo+(hi-lo)/2], x[hi-1]
+		if b < a {
+			a, b = b, a
+		}
+		if c < b {
+			b = max(a, c)
+		}
+		p := b
+		i, j := lo, hi-1
+		for i <= j {
+			for x[i] < p {
+				i++
+			}
+			for x[j] > p {
+				j--
+			}
+			if i <= j {
+				x[i], x[j] = x[j], x[i]
+				i++
+				j--
+			}
+		}
+		// x[lo:j+1] <= p, x[i:hi] >= p, and everything between equals p.
+		switch {
+		case r <= j:
+			hi = j + 1
+		case r >= i:
+			lo = i
+		default:
+			return x[r]
+		}
+	}
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && x[j] < x[j-1]; j-- {
+			x[j], x[j-1] = x[j-1], x[j]
+		}
+	}
+	return x[r]
 }
 
 // QuantileOfSorted is Quantile over an already ascending-sorted slice: it

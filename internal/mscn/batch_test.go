@@ -1,10 +1,13 @@
 package mscn
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"cardpi/internal/dataset"
+	"cardpi/internal/estimator"
 	"cardpi/internal/workload"
 )
 
@@ -97,5 +100,109 @@ func TestAppendSetElementsMatchesSetElements(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScalarMatchesForward proves the scalar path (the batched kernel on a
+// batch of one) bit-identical to the training-path forward, for
+// single-table queries and for joins with sample bitmaps.
+func TestScalarMatchesForward(t *testing.T) {
+	f, trainWL, testWL := singleSetup(t)
+	m, err := Train(f, trainWL, Config{Epochs: 3, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := dataset.GenerateDSB(dataset.GenConfig{Rows: 800, Seed: 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jwl, err := workload.GenerateJoins(sch, workload.JoinConfig{Count: 120, Templates: 6, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jm, err := Train(NewSchemaFeaturizer(sch).WithSampleBitmaps(16, 24), jwl, Config{Epochs: 2, Seed: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		m    *Model
+		wl   *workload.Workload
+	}{{"single", m, testWL}, {"join", jm, jwl}} {
+		for i, lq := range c.wl.Queries {
+			tf, pf := c.m.feat.SetElements(lq.Query)
+			want, _ := c.m.forward(tf, pf)
+			if got := c.m.PredictLog(lq.Query); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s query %d: PredictLog %v != forward %v", c.name, i, got, want)
+			}
+			if got, want := c.m.EstimateSelectivity(lq.Query), estimator.SelFromLog(want); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s query %d: EstimateSelectivity %v != forward %v", c.name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestEstimateSelectivityZeroAllocs pins the scalar path allocation-free
+// once the scratch pool is warm.
+func TestEstimateSelectivityZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	f, trainWL, testWL := singleSetup(t)
+	m, err := Train(f, trainWL, Config{Epochs: 1, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := testWL.Queries[0].Query
+	m.EstimateSelectivity(q)
+	if allocs := testing.AllocsPerRun(100, func() { m.EstimateSelectivity(q) }); allocs != 0 {
+		t.Fatalf("EstimateSelectivity allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestScalarAndBatchConcurrent runs scalar and batch inference on one model
+// from several goroutines at once: they share the pooled scratch, so every
+// result must still equal the sequential one (and -race must stay quiet).
+func TestScalarAndBatchConcurrent(t *testing.T) {
+	f, trainWL, testWL := singleSetup(t)
+	m, err := Train(f, trainWL, Config{Epochs: 1, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]workload.Query, len(testWL.Queries))
+	want := make([]float64, len(qs))
+	for i, lq := range testWL.Queries {
+		qs[i] = lq.Query
+		want[i] = m.PredictLog(lq.Query)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				out := make([]float64, len(qs))
+				m.PredictLogBatch(qs, out)
+				for i := range out {
+					if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+						errs <- fmt.Sprintf("goroutine %d: batch row %d = %v, want %v", g, i, out[i], want[i])
+						return
+					}
+				}
+				return
+			}
+			for i, q := range qs {
+				if got := m.PredictLog(q); math.Float64bits(got) != math.Float64bits(want[i]) {
+					errs <- fmt.Sprintf("goroutine %d: scalar query %d = %v, want %v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

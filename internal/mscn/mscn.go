@@ -270,9 +270,9 @@ type Model struct {
 	tableNet *nn.Net
 	outNet   *nn.Net
 	hidden   int
-	// pool recycles batchScratch buffer sets across PredictLogBatch calls
-	// (batch.go); the zero value is ready to use, so the serialize loader
-	// needs no extra wiring.
+	// pool recycles batchScratch buffer sets across PredictLogBatch and
+	// scalar PredictLog/EstimateSelectivity calls (batch.go); the zero value
+	// is ready to use, so the serialize loader needs no extra wiring.
 	pool sync.Pool
 }
 
@@ -412,18 +412,21 @@ func (m *Model) backward(c *forwardCaches, gradOut float64) {
 // Name implements estimator.Estimator.
 func (m *Model) Name() string { return m.name }
 
-// EstimateSelectivity implements estimator.Estimator.
+// EstimateSelectivity implements estimator.Estimator. It is the batched
+// kernel on a batch of one: allocation-free once the model's scratch pool is
+// warm, and bit-identical to the training-path forward. Safe for concurrent
+// use.
 func (m *Model) EstimateSelectivity(q workload.Query) float64 {
-	tf, pf := m.feat.SetElements(q)
-	pred, _ := m.forward(tf, pf)
-	return estimator.SelFromLog(pred)
+	return estimator.SelFromLog(m.PredictLog(q))
 }
 
 // PredictLog returns the raw log-selectivity output, used by the quantile
 // variants where clamping to [0,1] before conformalisation would discard
-// information.
+// information. Like EstimateSelectivity it runs the batched kernel on one
+// query.
 func (m *Model) PredictLog(q workload.Query) float64 {
-	tf, pf := m.feat.SetElements(q)
-	pred, _ := m.forward(tf, pf)
-	return pred
+	qs := [1]workload.Query{q}
+	var out [1]float64
+	m.predictLogBlock(qs[:], out[:])
+	return out[0]
 }
