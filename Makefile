@@ -21,9 +21,10 @@ bench:
 # Run the NN-core benchmarks and record them as BENCH_nn.json so future
 # changes have a perf trajectory to compare against, then the PI hot-path
 # benchmarks as BENCH_pi.json (sequential Interval vs IntervalBatch, the
-# serve-shaped localized-CP kernel vs its full-sort reference, and scalar
-# MSCN inference vs the training-path forward; the speedups block records
-# the ratios), the multi-core batch
+# serve-shaped localized-CP kernel vs its full-sort reference, scalar
+# MSCN inference vs the training-path forward, and the /estimate reply
+# encoder vs encoding/json; the speedups block records the ratios), the
+# multi-core batch
 # matrix as BENCH_batch_mt.json, the exact count oracle (Table.Count
 # against its row-at-a-time reference) as BENCH_count.json, and the query
 # parser (ParseQuery against its reference lexer and merge) as
@@ -35,7 +36,8 @@ bench-json:
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_nn.json
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkInterval(Batch)?$$' -benchmem . ; \
 	   $(GO) test -run '^$$' -bench '^BenchmarkLocalDelta(Ref)?$$' -benchmem ./internal/conformal/ ; \
-	   $(GO) test -run '^$$' -bench '^BenchmarkEstimateSelectivity(Forward)?$$' -benchmem ./internal/mscn/ ; } \
+	   $(GO) test -run '^$$' -bench '^BenchmarkEstimateSelectivity(Forward)?$$' -benchmem ./internal/mscn/ ; \
+	   $(GO) test -run '^$$' -bench '^BenchmarkReplyEncode(JSON)?$$' -benchmem ./cmd/cardpi/ ; } \
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_pi.json
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkIntervalBatchMT$$' -benchmem . ; } \
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_batch_mt.json

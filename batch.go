@@ -50,14 +50,41 @@ func IntervalBatch(pi PI, qs []workload.Query) ([]Interval, error) {
 // element-wise identical to sequential Interval calls; on failure the error
 // of the lowest-indexed failing query is returned.
 func IntervalBatchCtx(ctx context.Context, pi PI, qs []workload.Query) ([]Interval, error) {
+	ivs, _, err := intervalBatchEstCtx(ctx, pi, qs)
+	return ivs, err
+}
+
+// estimatingPI is implemented by the wrappers whose batch kernel evaluates
+// one point-estimate model on every row: intervalBatchEst returns those
+// estimates next to the intervals, each bit-identical to
+// estimateModel().EstimateSelectivity on its row, so a caller that also
+// needs the point estimate does not run the model again. CQR (two quantile
+// models and no point estimate) and JackknifeCV (whose intervals belong to
+// the fold-model family) report none.
+type estimatingPI interface {
+	estimateModel() Estimator
+	intervalBatchEst(qs []workload.Query) ([]Interval, []float64, error)
+}
+
+// intervalBatchEstCtx is IntervalBatchCtx that also returns the point
+// estimates pi's kernel computed, when pi reports them (an estimatingPI,
+// bare or under Instrumented); the estimates are nil otherwise.
+func intervalBatchEstCtx(ctx context.Context, pi PI, qs []workload.Query) ([]Interval, []float64, error) {
 	if in, ok := pi.(*Instrumented); ok {
-		return in.IntervalBatchCtx(ctx, qs)
+		return in.intervalBatchEstCtx(ctx, qs)
+	}
+	if ep, ok := pi.(estimatingPI); ok {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		return ep.intervalBatchEst(qs)
 	}
 	if bp, ok := pi.(BatchPI); ok {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return bp.IntervalBatch(qs)
+		ivs, err := bp.IntervalBatch(qs)
+		return ivs, nil, err
 	}
 	out := make([]Interval, len(qs))
 	err := par.ForEach(len(qs), func(i int) error {
@@ -69,9 +96,21 @@ func IntervalBatchCtx(ctx context.Context, pi PI, qs []workload.Query) ([]Interv
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return out, nil, nil
+}
+
+// estimateModelOf returns the model whose estimates intervalBatchEstCtx
+// reports for pi, or nil when it reports none.
+func estimateModelOf(pi PI) Estimator {
+	switch p := pi.(type) {
+	case *Instrumented:
+		return estimateModelOf(p.pi)
+	case estimatingPI:
+		return p.estimateModel()
+	}
+	return nil
 }
 
 // estimateAll runs the model's batched estimation path over qs and returns
@@ -146,6 +185,13 @@ func (s *featScratch) featurize(af AppendFeatureFunc, legacy FeatureFunc, qs []w
 // estimate, sharded in row blocks. Bit-identical to per-query Interval for
 // any worker count.
 func (s *SplitCP) IntervalBatch(qs []workload.Query) ([]Interval, error) {
+	ivs, _, err := s.intervalBatchEst(qs)
+	return ivs, err
+}
+
+// intervalBatchEst is IntervalBatch's kernel; it also returns the model's
+// batched estimates (estimatingPI).
+func (s *SplitCP) intervalBatchEst(qs []workload.Query) ([]Interval, []float64, error) {
 	preds := estimateAll(s.model, qs)
 	out := make([]Interval, len(qs))
 	par.RunBlocks(len(qs), trivialMinBlock, func(lo, hi int) error {
@@ -154,7 +200,7 @@ func (s *SplitCP) IntervalBatch(qs []workload.Query) ([]Interval, error) {
 		}
 		return nil
 	})
-	return out, nil
+	return out, preds, nil
 }
 
 // IntervalBatch implements BatchPI: model estimates, featurisation, and the
@@ -162,6 +208,13 @@ func (s *SplitCP) IntervalBatch(qs []workload.Query) ([]Interval, error) {
 // sharded, then the scaled band is applied per query. Bit-identical to
 // per-query Interval for any worker count.
 func (l *LocallyWeighted) IntervalBatch(qs []workload.Query) ([]Interval, error) {
+	ivs, _, err := l.intervalBatchEst(qs)
+	return ivs, err
+}
+
+// intervalBatchEst is IntervalBatch's kernel; it also returns the model's
+// batched estimates (estimatingPI).
+func (l *LocallyWeighted) intervalBatchEst(qs []workload.Query) ([]Interval, []float64, error) {
 	preds := estimateAll(l.model, qs)
 	fs := featPool.Get().(*featScratch)
 	defer featPool.Put(fs)
@@ -179,7 +232,7 @@ func (l *LocallyWeighted) IntervalBatch(qs []workload.Query) ([]Interval, error)
 		}
 		return nil
 	})
-	return out, nil
+	return out, preds, nil
 }
 
 // IntervalBatch implements BatchPI: both quantile models run their batched
@@ -201,22 +254,30 @@ func (c *CQR) IntervalBatch(qs []workload.Query) ([]Interval, error) {
 
 // IntervalBatch implements BatchPI: model estimates and featurisation run
 // batched, and the per-query local thresholds come from the
-// calibration-time neighbour index (k-d tree or bounded-heap scan, itself
-// row-block sharded) instead of a full calibration-set sort per query.
-// Bit-identical to per-query Interval for any worker count.
+// calibration-time neighbour index (k-d tree, bounded-heap scan or
+// K-th-distance selection, itself row-block sharded) instead of a full
+// calibration-set sort per query. Bit-identical to per-query Interval for
+// any worker count.
 func (l *Localized) IntervalBatch(qs []workload.Query) ([]Interval, error) {
+	ivs, _, err := l.intervalBatchEst(qs)
+	return ivs, err
+}
+
+// intervalBatchEst is IntervalBatch's kernel; it also returns the model's
+// batched estimates (estimatingPI).
+func (l *Localized) intervalBatchEst(qs []workload.Query) ([]Interval, []float64, error) {
 	fs := featPool.Get().(*featScratch)
 	defer featPool.Put(fs)
 	feats := fs.featurize(l.appendFeats, l.feats, qs)
 	preds := estimateAll(l.model, qs)
 	out := make([]Interval, len(qs))
 	if err := l.lcp.Intervals(feats, preds, out); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i := range out {
 		out[i] = clip(out[i])
 	}
-	return out, nil
+	return out, preds, nil
 }
 
 // IntervalBatch implements BatchPI: model estimates run batched; each
@@ -225,6 +286,13 @@ func (l *Localized) IntervalBatch(qs []workload.Query) ([]Interval, error) {
 // feature buffer each. Bit-identical to per-query Interval for any worker
 // count, including the trivial [0, 1] result when a threshold is infinite.
 func (w *Weighted) IntervalBatch(qs []workload.Query) ([]Interval, error) {
+	ivs, _, err := w.intervalBatchEst(qs)
+	return ivs, err
+}
+
+// intervalBatchEst is IntervalBatch's kernel; it also returns the model's
+// batched estimates (estimatingPI).
+func (w *Weighted) intervalBatchEst(qs []workload.Query) ([]Interval, []float64, error) {
 	preds := estimateAll(w.model, qs)
 	out := make([]Interval, len(qs))
 	err := par.RunBlocks(len(qs), ratioMinBlock, func(lo, hi int) error {
@@ -246,15 +314,22 @@ func (w *Weighted) IntervalBatch(qs []workload.Query) ([]Interval, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return out, preds, nil
 }
 
 // IntervalBatch implements BatchPI: model estimates run batched and each
 // query's group threshold is a map lookup, sharded in row blocks.
 // Bit-identical to per-query Interval for any worker count.
 func (m *Mondrian) IntervalBatch(qs []workload.Query) ([]Interval, error) {
+	ivs, _, err := m.intervalBatchEst(qs)
+	return ivs, err
+}
+
+// intervalBatchEst is IntervalBatch's kernel; it also returns the model's
+// batched estimates (estimatingPI).
+func (m *Mondrian) intervalBatchEst(qs []workload.Query) ([]Interval, []float64, error) {
 	preds := estimateAll(m.model, qs)
 	out := make([]Interval, len(qs))
 	par.RunBlocks(len(qs), ratioMinBlock, func(lo, hi int) error {
@@ -263,7 +338,7 @@ func (m *Mondrian) IntervalBatch(qs []workload.Query) ([]Interval, error) {
 		}
 		return nil
 	})
-	return out, nil
+	return out, preds, nil
 }
 
 // IntervalBatch implements BatchPI: the full model's estimates run batched

@@ -168,6 +168,68 @@ func TestIntervalBatchResilient(t *testing.T) {
 	}
 }
 
+// TestIntervalBatchEstResilient: through Resilient(Instrument(pi)), the
+// wrappers whose kernel evaluates one point-estimate model per row report
+// that model and its estimates, bit-identical to scalar EstimateSelectivity,
+// next to intervals bit-identical to the scalar path; CQR and the jackknife
+// family report neither.
+func TestIntervalBatchEstResilient(t *testing.T) {
+	model, ff, train, cal, test := fixture(t)
+	gcfg := gbm.Config{NumTrees: 30, MaxDepth: 3, Seed: 31}
+	build := map[string]func() (PI, error){
+		"s-cp": func() (PI, error) { return WrapSplitCP(model, cal, conformal.ResidualScore{}, 0.1) },
+		"lw-s-cp": func() (PI, error) {
+			return WrapLocallyWeighted(model, train, cal, ff, conformal.ResidualScore{}, 0.1, gcfg)
+		},
+		"lcp": func() (PI, error) { return WrapLocalized(model, cal, ff, conformal.ResidualScore{}, 0.1, 20) },
+		"weighted-cp": func() (PI, error) {
+			return WrapWeighted(model, cal, test, ff, conformal.ResidualScore{}, 0.1, gcfg)
+		},
+		"mondrian": func() (PI, error) { return WrapMondrian(model, cal, TemplateGroup, conformal.ResidualScore{}, 0.1, 5) },
+		"cqr":      func() (PI, error) { return WrapCQR(model, model, cal, 0.1) },
+		"jk-cv+": func() (PI, error) {
+			return WrapJackknifeCV(func(*workload.Workload, int64) (Estimator, error) { return model, nil }, train, 5, 0.1, 5)
+		},
+	}
+	qs := queriesOf(test)
+	for name, mk := range build {
+		t.Run(name, func(t *testing.T) {
+			pi, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewResilient(Instrument(pi, obs.NewRegistry()), ResilientConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ivs, depths, ests := r.IntervalBatchEstCtx(context.Background(), qs)
+			sameBits(t, seqIntervals(t, pi, qs), ivs)
+			for i, d := range depths {
+				if d != 0 {
+					t.Fatalf("query %d served at depth %d, want primary", i, d)
+				}
+			}
+			if name == "cqr" || name == "jk-cv+" {
+				if r.EstimateModel() != nil || ests != nil {
+					t.Fatalf("reports model %v and %d estimates, want none", r.EstimateModel(), len(ests))
+				}
+				return
+			}
+			if r.EstimateModel() != model {
+				t.Fatalf("EstimateModel() = %v, want the wrapped model", r.EstimateModel())
+			}
+			if len(ests) != len(qs) {
+				t.Fatalf("got %d estimates for %d queries", len(ests), len(qs))
+			}
+			for i, q := range qs {
+				if want := model.EstimateSelectivity(q); math.Float64bits(ests[i]) != math.Float64bits(want) {
+					t.Fatalf("query %d: reported estimate %v, model says %v", i, ests[i], want)
+				}
+			}
+		})
+	}
+}
+
 // TestIntervalBatchConcurrent hammers one shared wrapper from several
 // goroutines — the batch path must be safe for concurrent use (the server
 // fans requests over it) and stay bit-identical under contention. The name

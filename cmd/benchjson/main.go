@@ -1,8 +1,8 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
 // performance record. `make bench-json` pipes the NN-core benchmarks
 // (BenchmarkFit, BenchmarkEvaluate, BenchmarkIntervalCV) through it into
-// BENCH_nn.json, the batched-inference, localized-CP kernel and scalar MSCN
-// benchmarks into BENCH_pi.json, and
+// BENCH_nn.json, the batched-inference, localized-CP kernel, scalar MSCN
+// and reply-encoder benchmarks into BENCH_pi.json, and
 // the worker-count scaling matrix (BenchmarkIntervalBatchMT) into
 // BENCH_batch_mt.json, the count oracle (BenchmarkCount against
 // BenchmarkCountRowScan) into BENCH_count.json, and the query parser
@@ -181,6 +181,9 @@ func speedups(bs []Benchmark) map[string]float64 {
 	// (BENCH_pi.json).
 	ratio("localdelta_servebench-shaped_vs_ref", "BenchmarkLocalDeltaRef/servebench-shaped", "BenchmarkLocalDelta/servebench-shaped")
 	ratio("mscn_estimate_servebench-shaped_vs_forward", "BenchmarkEstimateSelectivityForward/servebench-shaped", "BenchmarkEstimateSelectivity/servebench-shaped")
+	// The append reply encoder against encoding/json with SetIndent on one
+	// serve-shaped /estimate reply (BENCH_pi.json).
+	ratio("reply_encode_servebench-shaped_vs_json", "BenchmarkReplyEncodeJSON/servebench-shaped", "BenchmarkReplyEncode/servebench-shaped")
 	// The column-at-a-time count kernel against the row-at-a-time
 	// reference, and the 100k-row fan-out against one goroutine
 	// (BENCH_count.json).

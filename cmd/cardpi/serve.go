@@ -360,10 +360,30 @@ type servingChain struct {
 	// method is resilient.Name(), the method field of every reply, built
 	// once with the chain rather than concatenated per reply row.
 	method string
+	// piEstimates is set when the primary PI's batch kernel evaluates model
+	// itself (resilient.EstimateModel() is model): a primary-served row then
+	// takes its point estimate from the interval pass instead of running the
+	// model again.
+	piEstimates bool
 }
 
 func newServingChain(model cardpi.Estimator, resilient *cardpi.Resilient) *servingChain {
-	return &servingChain{model: model, resilient: resilient, method: resilient.Name()}
+	return &servingChain{
+		model: model, resilient: resilient, method: resilient.Name(),
+		piEstimates: sameModel(resilient.EstimateModel(), model),
+	}
+}
+
+// sameModel reports whether a and b are one and the same estimator.
+// Comparing interfaces panics when both hold the same uncomparable type
+// (estimator.Func, for one); such models are treated as different.
+func sameModel(a, b cardpi.Estimator) (same bool) {
+	defer func() {
+		if recover() != nil {
+			same = false
+		}
+	}()
+	return a != nil && a == b
 }
 
 // servingUnit is one complete serving chain — table, estimator, resilient
@@ -587,7 +607,7 @@ type endpointMetrics struct {
 // serveScratch is one pooled per-request buffer set. Slices are sized from
 // -max-batch at construction and retain their capacity across requests.
 type serveScratch struct {
-	buf     bytes.Buffer       // response encode buffer (JSON and binary)
+	buf     []byte             // JSON reply encode buffer
 	body    []byte             // raw request body (binary wire path)
 	rawQ    [][]byte           // zero-copy query views into body
 	lines   []string           // query texts (single-query and binary wire paths)
@@ -1020,17 +1040,19 @@ func (s *server) serveEstimate(w http.ResponseWriter, r *http.Request, batch boo
 	for i := range sc.results {
 		sc.results[i].RollCov = sanitizeJSON(sc.results[i].RollCov)
 	}
-	var body any = &sc.results[0]
+	var err error
 	if batch {
-		body = batchResponse{Count: len(sc.results), Results: sc.results}
+		sc.buf, err = appendBatchReply(sc.buf[:0], &batchResponse{Count: len(sc.results), Results: sc.results})
+	} else {
+		sc.buf, err = appendEstimateReply(sc.buf[:0], &sc.results[0])
 	}
-	if err := encodeJSON(&sc.buf, body); err != nil {
+	if err != nil {
 		ep.fail.Inc()
 		httpError(w, http.StatusInternalServerError, "encode_failed", "encode reply: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(sc.buf.Bytes()); err != nil {
+	if _, err := w.Write(sc.buf); err != nil {
 		ep.fail.Inc()
 		return
 	}
@@ -1143,7 +1165,8 @@ func (s *server) readQueries(r *http.Request, values url.Values, sc *serveScratc
 //  2. Claim: every miss claims its (key, epoch) flight. As leader, this
 //     request computes the row; as follower, it reuses the leader's result —
 //     whether another request or an earlier row of this batch leads it.
-//  3. Compute: all leader rows run through ONE batched resilient-chain call;
+//  3. Compute: all leader rows run through ONE batched resilient-chain call,
+//     which also yields the point estimate of every primary-served row;
 //     their ground truth is counted, the monitor fed, and their flights
 //     finished (depth-0 results are stored).
 //  4. Wait: only then do follower rows wait. A request never waits while it
@@ -1189,9 +1212,17 @@ func (u *servingUnit) estimate(ctx context.Context, epoch uint64, tab *dataset.T
 		}
 		// The resilient chain never fails: a sick primary degrades through
 		// the fallback stages down to the fail-safe full-domain interval.
-		ivs, depths := ch.resilient.IntervalBatchDepthCtx(ctx, qs)
+		ivs, depths, ests := ch.resilient.IntervalBatchEstCtx(ctx, qs)
+		if !ch.piEstimates {
+			ests = nil
+		}
 		for j, i := range sc.lead {
-			sc.cres[i] = u.computeResult(ch, tab, sc.qs[i], ivs[j])
+			var est float64
+			hasEst := ests != nil && depths[j] == 0
+			if hasEst {
+				est = ests[j]
+			}
+			sc.cres[i] = u.computeResult(ch, tab, sc.qs[i], ivs[j], est, hasEst)
 			sc.depths[i] = depths[j]
 			if f := sc.flights[i]; f != nil {
 				// Only depth-0 results are stored: degraded intervals are
@@ -1227,10 +1258,16 @@ type monitorState struct {
 // bit-identically until an epoch bump retires the (chain, table) pair it
 // was computed against. The demo owns the oracle, so it can score itself; a
 // panicking or erroring model/oracle degrades the telemetry fields, never
-// the reply. The model runs once: the monitor scores the same raw estimate
+// the reply. The model runs once per row: with hasEst, est is the estimate
+// the interval pass computed (bit-identical to ch.model's own); otherwise
+// (a fallback-served row, or a PI that reports no estimate) computeResult
+// runs the model itself. Either way the monitor scores the same estimate
 // the reply carries.
-func (u *servingUnit) computeResult(ch *servingChain, tab *dataset.Table, q workload.Query, iv cardpi.Interval) cache.Result {
-	pred, predOK := rawEstimate(ch.model, q)
+func (u *servingUnit) computeResult(ch *servingChain, tab *dataset.Table, q workload.Query, iv cardpi.Interval, est float64, hasEst bool) cache.Result {
+	pred, predOK := est, hasEst
+	if !hasEst {
+		pred, predOK = rawEstimate(ch.model, q)
+	}
 	truth, truthOK := groundTruth(tab, q)
 	if truthOK && predOK {
 		u.observe(q, pred, float64(truth)/float64(tab.NumRows()))
@@ -1238,7 +1275,7 @@ func (u *servingUnit) computeResult(ch *servingChain, tab *dataset.Table, q work
 	if !truthOK {
 		truth = -1
 	}
-	est := pred
+	est = pred
 	if !predOK || math.IsNaN(est) || math.IsInf(est, 0) {
 		est = -1
 	}

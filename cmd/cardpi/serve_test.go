@@ -19,6 +19,7 @@ import (
 	"cardpi/internal/codec"
 	"cardpi/internal/conformal"
 	"cardpi/internal/dataset"
+	"cardpi/internal/estimator"
 	"cardpi/internal/faultinject"
 	"cardpi/internal/histogram"
 	"cardpi/internal/obs"
@@ -615,7 +616,8 @@ func TestServeBatchAllocsBounded(t *testing.T) {
 	}
 }
 
-// countingModel counts point estimates taken on the wrapped model.
+// countingModel counts every evaluation of the wrapped model: one per
+// scalar estimate and one per row of a batched one.
 type countingModel struct {
 	cardpi.Estimator
 	calls atomic.Int64
@@ -626,37 +628,47 @@ func (m *countingModel) EstimateSelectivity(q workload.Query) float64 {
 	return m.Estimator.EstimateSelectivity(q)
 }
 
-// TestServeOneForwardPerComputedRow: on a cache-off mscn + lcp server,
-// serve runs the chain's model once per computed row — for the reply's
-// point estimate — and the monitor scores that same estimate instead of
-// running the model again. The interval itself comes from the PI, which
-// holds its own reference to the model, so it does not count here.
-func TestServeOneForwardPerComputedRow(t *testing.T) {
-	setup, err := pipeline.Build(pipeline.Config{
-		Dataset: "dmv", Model: "mscn", Method: "lcp",
-		Alpha: 0.1, Rows: 2000, Queries: 400, Seed: 1, Epochs: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := &countingModel{Estimator: setup.Model}
-	setup.Model = model
+func (m *countingModel) EstimateSelectivityBatch(qs []workload.Query, out []float64) {
+	m.calls.Add(int64(len(qs)))
+	estimator.EstimateBatch(m.Estimator, qs, out)
+}
+
+// forwardCase drives one cache-off server whose chain model and primary PI
+// share a countingModel, and checks every computed row: the model ran
+// wantForwards times per row, the monitor made one observation per row, and
+// each reply's estimate is the model's own, bit for bit.
+func forwardCase(t *testing.T, setup *pipeline.Setup, model *countingModel, wantForwards int64) {
+	t.Helper()
 	ts, srv, _ := startServer(t, setup, serveOpts{})
 	adaptive := srv.def.adaptive
+	checkEst := func(line string, got float64) {
+		t.Helper()
+		q, err := workload.ParseQuery(setup.Table, line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := model.Estimator.EstimateSelectivity(q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%q: reply estimate %v, model says %v", line, got, want)
+		}
+	}
 
+	line := "state = 3 AND body_type = 2"
 	calls, calSize := model.calls.Load(), adaptive.CalibrationSize()
-	if code, _, body := getEstimate(t, ts.URL, "state = 3 AND body_type = 2", "", ""); code != http.StatusOK {
+	code, er, body := getEstimate(t, ts.URL, line, "", "")
+	if code != http.StatusOK {
 		t.Fatalf("/estimate status %d: %s", code, body)
 	}
-	if got := model.calls.Load() - calls; got != 1 {
-		t.Fatalf("/estimate ran the model %d times, want 1", got)
+	if got := model.calls.Load() - calls; got != wantForwards {
+		t.Fatalf("/estimate ran the model %d times, want %d", got, wantForwards)
 	}
 	if got := adaptive.CalibrationSize() - calSize; got != 1 {
 		t.Fatalf("/estimate made %d observations, want 1", got)
 	}
+	checkEst(line, er.EstSel)
 
+	lines := []string{"state = 3", "county = 10 AND body_type = 2", "model_year BETWEEN 40 AND 90"}
 	calls, calSize = model.calls.Load(), adaptive.CalibrationSize()
-	resp := postBatch(t, ts, []string{"state = 3", "county = 10 AND body_type = 2", "model_year BETWEEN 40 AND 90"})
+	resp := postBatch(t, ts, lines)
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
@@ -665,11 +677,79 @@ func TestServeOneForwardPerComputedRow(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/estimate/batch status %d: %s", resp.StatusCode, body)
 	}
-	if got := model.calls.Load() - calls; got != 3 {
-		t.Fatalf("3-row /estimate/batch ran the model %d times, want 3", got)
+	if got, want := model.calls.Load()-calls, 3*wantForwards; got != want {
+		t.Fatalf("3-row /estimate/batch ran the model %d times, want %d", got, want)
 	}
 	if got := adaptive.CalibrationSize() - calSize; got != 3 {
 		t.Fatalf("3-row /estimate/batch made %d observations, want 3", got)
+	}
+	var br batchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range br.Results {
+		checkEst(lines[i], r.EstSel)
+	}
+}
+
+// TestServeOneForwardPerComputedRow counts every evaluation of the served
+// model — the PI's interval pass (batched rows) and any scalar estimate —
+// on a cache-off server. With mscn + lcp the reply's estimate and the
+// monitor's input come from the interval pass, so each computed row runs
+// the model exactly once. A PI that reports no estimate of its own (here
+// the jackknife family) keeps the separate estimate, and its reply still
+// carries the chain model's estimate bit for bit.
+func TestServeOneForwardPerComputedRow(t *testing.T) {
+	t.Run("lcp", func(t *testing.T) {
+		setup, err := pipeline.Build(pipeline.Config{
+			Dataset: "dmv", Model: "mscn", Method: "lcp",
+			Alpha: 0.1, Rows: 2000, Queries: 400, Seed: 1, Epochs: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := &countingModel{Estimator: setup.Model}
+		lcp, err := cardpi.NewLocalizedFrom(model, setup.PI.(*cardpi.Localized).Calibration(), pipeline.Featurizer(setup.Table))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lcp.SetAppendFeatures(pipeline.AppendFeaturizer(setup.Table))
+		setup.Model, setup.PI = model, lcp
+		forwardCase(t, setup, model, 1)
+	})
+	t.Run("jk-cv+", func(t *testing.T) {
+		setup := smallSetup(t)
+		model := &countingModel{Estimator: setup.Model}
+		foldOf := make([]int, len(setup.Cal.Queries))
+		for i := range foldOf {
+			foldOf[i] = i % 2
+		}
+		jk, err := cardpi.WrapJackknifeCVModels(model, []cardpi.Estimator{setup.Model, setup.Model}, setup.Cal, foldOf, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setup.Model, setup.PI = model, jk
+		forwardCase(t, setup, model, 2)
+	})
+}
+
+// TestSameModel: the chain takes the PI's estimates only for its own model,
+// and an uncomparable model type never panics the comparison.
+func TestSameModel(t *testing.T) {
+	m := &countingModel{}
+	fn := estimator.Func{N: "fn", F: func(workload.Query) float64 { return 0 }}
+	for _, c := range []struct {
+		a, b cardpi.Estimator
+		want bool
+	}{
+		{m, m, true},
+		{m, &countingModel{}, false},
+		{nil, m, false},
+		{fn, fn, false},
+	} {
+		if got := sameModel(c.a, c.b); got != c.want {
+			t.Errorf("sameModel(%T, %T) = %v, want %v", c.a, c.b, got, c.want)
+		}
 	}
 }
 

@@ -83,11 +83,18 @@ func (in *Instrumented) IntervalBatch(qs []workload.Query) ([]Interval, error) {
 // latency into the histogram, keeping latency quantiles comparable across
 // serving modes.
 func (in *Instrumented) IntervalBatchCtx(ctx context.Context, qs []workload.Query) ([]Interval, error) {
+	ivs, _, err := in.intervalBatchEstCtx(ctx, qs)
+	return ivs, err
+}
+
+// intervalBatchEstCtx is IntervalBatchCtx that also passes on the wrapped
+// PI's point estimates (see intervalBatchEstCtx).
+func (in *Instrumented) intervalBatchEstCtx(ctx context.Context, qs []workload.Query) ([]Interval, []float64, error) {
 	if len(qs) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	start := time.Now()
-	ivs, err := IntervalBatchCtx(ctx, in.pi, qs)
+	ivs, ests, err := intervalBatchEstCtx(ctx, in.pi, qs)
 	perQuery := time.Since(start).Seconds() / float64(len(qs))
 	for range qs {
 		in.lat.Observe(perQuery)
@@ -96,7 +103,7 @@ func (in *Instrumented) IntervalBatchCtx(ctx context.Context, qs []workload.Quer
 	if err != nil {
 		in.errs.Inc()
 	}
-	return ivs, err
+	return ivs, ests, err
 }
 
 // Unwrap returns the underlying PI.

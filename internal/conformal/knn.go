@@ -25,10 +25,11 @@ import (
 //   - a selection-only pass when K is a large fraction of n, where neither
 //     tree pruning nor early abandonment can skip much work (the serving
 //     shape: n = 800, K = 200, 44 dims). Every distance goes into a flat
-//     []float64, a quickselect on a copy finds the K-th smallest distance t,
-//     and one index-order pass keeps the rows closer than t plus the first
-//     K − #{d < t} rows at exactly t — expected O(n), and no candidate is
-//     ever ordered.
+//     []float64 (four rows per pass over the row-major feature block), a
+//     radix select over the distances' bit patterns finds the K-th smallest
+//     distance t without copying them, and one index-order pass keeps the
+//     rows closer than t plus the first K − #{d < t} rows at exactly t —
+//     O(n), and no candidate is ever ordered.
 //
 // Whichever strategy runs, the conformal order statistic of the K chosen
 // scores is then selected (quantileSelect), not read off a sorted copy.

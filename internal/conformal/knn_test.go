@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -160,6 +161,69 @@ func TestDeltasConstantAllocs(t *testing.T) {
 	})
 	if allocs > 20 {
 		t.Fatalf("Deltas of %d rows allocates %.1f times per call; scratch is not being reused", len(qs), allocs)
+	}
+}
+
+// TestLocalizedOneRowAllocs pins that a one-row call on the serving shape
+// (selection strategy: 8K > n, dim above kdMaxDim) allocates nothing once
+// the scratch pool is warm, on every entry point a cache-off miss takes.
+func TestLocalizedOneRowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector perturbs allocation counts")
+	}
+	r := rand.New(rand.NewSource(7))
+	l, qs := buildKNNLocalized(t, r, knnCase{name: "one-row", n: 800, dim: 44, k: 200, queries: 4})
+	q := qs[:1]
+	deltas := make([]float64, 1)
+	preds := []float64{0.5}
+	ivs := make([]Interval, 1)
+	for name, fn := range map[string]func() error{
+		"Deltas":    func() error { return l.Deltas(q, deltas) },
+		"Intervals": func() error { return l.Intervals(q, preds, ivs) },
+		"Interval":  func() error { _, err := l.Interval(q[0], preds[0]); return err },
+	} {
+		if err := fn(); err != nil { // warm the scratch pool
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := fn(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s on one row allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+}
+
+// TestKthDistMatchesSort checks the radix select against a sort on
+// distance sets with exact ties, zeros, subnormals and +Inf: the K-th value
+// must match bit for bit and the count below it exactly.
+func TestKthDistMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	special := []float64{0, math.SmallestNonzeroFloat64, 1e-310, 1, 2, math.MaxFloat64, math.Inf(1)}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(300)
+		dist := make([]float64, n)
+		for i := range dist {
+			switch r.Intn(3) {
+			case 0:
+				dist[i] = special[r.Intn(len(special))]
+			case 1:
+				dist[i] = float64(r.Intn(4))
+			default:
+				dist[i] = r.ExpFloat64() * math.Pow(10, float64(r.Intn(20)-10))
+			}
+		}
+		sorted := append([]float64(nil), dist...)
+		sort.Float64s(sorted)
+		rank := r.Intn(n)
+		got, less := kthDist(dist, rank)
+		if math.Float64bits(got) != math.Float64bits(sorted[rank]) {
+			t.Fatalf("trial %d: rank %d of %d = %v, want %v", trial, rank, n, got, sorted[rank])
+		}
+		if want := sort.SearchFloat64s(sorted, got); less != want {
+			t.Fatalf("trial %d: %d values below %v, want %d", trial, less, got, want)
+		}
 	}
 }
 

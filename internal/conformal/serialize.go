@@ -208,14 +208,14 @@ func ReadLocalized(r io.Reader) (*Localized, error) {
 		return nil, fmt.Errorf("conformal: implausible localized calibration size %d", n)
 	}
 	dim := -1
-	l.feats = make([][]float64, n)
-	for i := range l.feats {
-		l.feats[i] = cr.F64s(maxCalPoints)
+	feats := make([][]float64, n)
+	for i := range feats {
+		feats[i] = cr.F64s(maxCalPoints)
 		if cr.Err() == nil {
 			if dim == -1 {
-				dim = len(l.feats[i])
-			} else if len(l.feats[i]) != dim {
-				return nil, fmt.Errorf("conformal: localized feature %d has dim %d, want %d", i, len(l.feats[i]), dim)
+				dim = len(feats[i])
+			} else if len(feats[i]) != dim {
+				return nil, fmt.Errorf("conformal: localized feature %d has dim %d, want %d", i, len(feats[i]), dim)
 			}
 		}
 	}
@@ -232,9 +232,10 @@ func ReadLocalized(r io.Reader) (*Localized, error) {
 	if l.K < 1 || l.K > int(n) {
 		return nil, fmt.Errorf("conformal: localized neighbourhood %d outside [1,%d]", l.K, n)
 	}
-	// The neighbour index is derived state and is never serialised; rebuild
-	// it here so rehydrated predictors serve batches at full speed.
-	l.index = buildNeighborIndex(l.feats)
+	// The row-major block and the neighbour index are derived state and are
+	// never serialised; rebuild them here so rehydrated predictors serve
+	// batches at full speed.
+	l.setFeatures(feats)
 	return l, nil
 }
 

@@ -141,6 +141,9 @@ func WrapSplitCP(model Estimator, cal *workload.Workload, score conformal.Score,
 	return &SplitCP{model: model, cp: cp}, nil
 }
 
+// estimateModel implements estimatingPI.
+func (s *SplitCP) estimateModel() Estimator { return s.model }
+
 // Name implements PI.
 func (s *SplitCP) Name() string { return "s-cp/" + s.model.Name() }
 
@@ -245,6 +248,9 @@ func difficulty(g *gbm.Regressor, x []float64, beta float64) float64 {
 	return d + beta
 }
 
+// estimateModel implements estimatingPI.
+func (l *LocallyWeighted) estimateModel() Estimator { return l.model }
+
 // Name implements PI.
 func (l *LocallyWeighted) Name() string { return "lw-s-cp/" + l.model.Name() }
 
@@ -332,6 +338,9 @@ func WrapLocalized(model Estimator, cal *workload.Workload, feats FeatureFunc,
 	}
 	return &Localized{model: model, lcp: lcp, feats: feats}, nil
 }
+
+// estimateModel implements estimatingPI.
+func (l *Localized) estimateModel() Estimator { return l.model }
 
 // Name implements PI.
 func (l *Localized) Name() string { return "lcp/" + l.model.Name() }
@@ -456,6 +465,9 @@ func (w *Weighted) likelihoodRatioFrom(x []float64) float64 {
 	return (p / (1 - p)) * (w.nCal / w.nShift)
 }
 
+// estimateModel implements estimatingPI.
+func (w *Weighted) estimateModel() Estimator { return w.model }
+
 // Name implements PI.
 func (w *Weighted) Name() string { return "weighted-cp/" + w.model.Name() }
 
@@ -515,6 +527,9 @@ func WrapMondrian(model Estimator, cal *workload.Workload, group GroupFunc,
 	}
 	return &Mondrian{model: model, m: m, group: group}, nil
 }
+
+// estimateModel implements estimatingPI.
+func (m *Mondrian) estimateModel() Estimator { return m.model }
 
 // Name implements PI.
 func (m *Mondrian) Name() string { return "mondrian/" + m.model.Name() }

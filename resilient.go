@@ -343,21 +343,41 @@ func (r *Resilient) IntervalBatch(qs []workload.Query) ([]Interval, error) {
 }
 
 // IntervalBatchDepthCtx answers the whole batch and reports which stage
-// served each query (same depth convention as IntervalDepthCtx). Each stage
-// sees one batched call covering the queries every earlier stage failed to
-// serve; a query whose row comes back non-finite falls through to the next
-// stage individually, so one diverged row does not drag its batch-mates down
-// the chain. The breaker records one event per batch primary attempt —
-// success only when the call returned no error and every row was finite — so
-// a poisoned batch trips it at the same rate as a poisoned single query. The
-// context is forwarded to every stage's batch call (IntervalBatchCtx) and
-// checked between stages: once it is done, remaining queries go straight to
-// the fail-safe full-domain interval.
+// served each query: IntervalBatchEstCtx without the point estimates.
 func (r *Resilient) IntervalBatchDepthCtx(ctx context.Context, qs []workload.Query) ([]Interval, []int) {
+	ivs, depth, _ := r.IntervalBatchEstCtx(ctx, qs)
+	return ivs, depth
+}
+
+// EstimateModel returns the model whose point estimates IntervalBatchEstCtx
+// reports, or nil when the primary stage reports none (its batch kernel
+// does not evaluate one point-estimate model per row, as with CQR and the
+// jackknife family, or it is not one of this package's wrappers).
+func (r *Resilient) EstimateModel() Estimator { return estimateModelOf(r.stages[0]) }
+
+// IntervalBatchEstCtx answers the whole batch, reports which stage served
+// each query (same depth convention as IntervalDepthCtx), and returns the
+// primary stage's point estimates. Each stage sees one batched call
+// covering the queries every earlier stage failed to serve; a query whose
+// row comes back non-finite falls through to the next stage individually,
+// so one diverged row does not drag its batch-mates down the chain. The
+// breaker records one event per batch primary attempt — success only when
+// the call returned no error and every row was finite — so a poisoned batch
+// trips it at the same rate as a poisoned single query. The context is
+// forwarded to every stage's batch call (IntervalBatchCtx) and checked
+// between stages: once it is done, remaining queries go straight to the
+// fail-safe full-domain interval.
+//
+// est is non-nil only when the primary ran, returned a full batch without
+// error, and reports estimates (EstimateModel() != nil); then est[i] is
+// EstimateModel().EstimateSelectivity(qs[i]) bit for bit, computed by the
+// same pass that produced the interval. It is meaningful only for rows
+// served at depth 0.
+func (r *Resilient) IntervalBatchEstCtx(ctx context.Context, qs []workload.Query) (out []Interval, depth []int, est []float64) {
 	n := len(qs)
 	r.calls.Add(uint64(n))
-	out := make([]Interval, n)
-	depth := make([]int, n)
+	out = make([]Interval, n)
+	depth = make([]int, n)
 	remaining := make([]int, n)
 	for i := range remaining {
 		remaining[i] = i
@@ -384,7 +404,7 @@ func (r *Resilient) IntervalBatchDepthCtx(ctx context.Context, qs []workload.Que
 			}
 			batch = sub
 		}
-		ivs, err := r.tryStageBatch(ctx, st, batch)
+		ivs, ests, err := r.tryStageBatch(ctx, st, batch)
 		allOK := err == nil && len(ivs) == len(batch)
 		if allOK {
 			for _, iv := range ivs {
@@ -404,6 +424,9 @@ func (r *Resilient) IntervalBatchDepthCtx(ctx context.Context, qs []workload.Que
 		if err != nil || len(ivs) != len(batch) {
 			r.failed[si].Add(uint64(len(remaining)))
 			continue
+		}
+		if si == 0 && len(ests) == n {
+			est = ests
 		}
 		nr := 0
 		for j, i := range remaining {
@@ -429,20 +452,21 @@ func (r *Resilient) IntervalBatchDepthCtx(ctx context.Context, qs []workload.Que
 		depth[i] = len(r.stages)
 		r.servedFS.Inc()
 	}
-	return out, depth
+	return out, depth, est
 }
 
 // tryStageBatch runs one stage's whole-batch attempt under the request
-// context and panic recovery, mirroring tryStage. Panics on the worker pool's
+// context and panic recovery, mirroring tryStage, and passes on the stage's
+// point estimates when it reports them. Panics on the worker pool's
 // goroutines are re-raised here by internal/par, so they are recovered too.
-func (r *Resilient) tryStageBatch(ctx context.Context, pi PI, qs []workload.Query) (ivs []Interval, err error) {
+func (r *Resilient) tryStageBatch(ctx context.Context, pi PI, qs []workload.Query) (ivs []Interval, ests []float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.panics.Inc()
 			err = fmt.Errorf("cardpi: recovered panic in %s: %v", pi.Name(), p)
 		}
 	}()
-	return IntervalBatchCtx(ctx, pi, qs)
+	return intervalBatchEstCtx(ctx, pi, qs)
 }
 
 // tryStage runs one stage under panic recovery: a panicking stage becomes a
