@@ -7,7 +7,6 @@ import (
 
 	"cardpi/internal/conformal"
 	"cardpi/internal/dataset"
-	"cardpi/internal/estimator"
 	"cardpi/internal/faultinject"
 	"cardpi/internal/obs"
 	"cardpi/internal/workload"
@@ -258,85 +257,10 @@ func TestAdaptiveRecalibrateResetsTelemetryRings(t *testing.T) {
 	}
 }
 
-// TestAdaptiveOnRecalibrateHook: the hook fires exactly once per committed
-// recalibration, outside the internal lock (the hook body re-enters the
-// wrapper), and never on a failed recalibration.
-func TestAdaptiveOnRecalibrateHook(t *testing.T) {
-	model, _, _, cal, _ := fixture(t)
-	a, err := NewAdaptive(model, cal, conformal.ResidualScore{},
-		AdaptiveConfig{Alpha: 0.1, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	a.OnRecalibrate(func() {
-		fired++
-		a.CalibrationSize() // must not deadlock: hook runs outside the lock
-	})
-	if err := a.Recalibrate(cal); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("hook fired %d times after one recalibration, want 1", fired)
-	}
-	poisoned := &workload.Workload{NormN: cal.NormN}
-	for _, lq := range cal.Queries[:10] {
-		poisoned.Queries = append(poisoned.Queries,
-			workload.Labeled{Query: lq.Query, Sel: math.NaN(), Norm: lq.Norm})
-	}
-	if err := a.Recalibrate(poisoned); err == nil {
-		t.Fatal("poisoned recalibration unexpectedly succeeded")
-	}
-	if fired != 1 {
-		t.Fatalf("hook fired on a failed recalibration (count %d)", fired)
-	}
-}
-
-// TestAdaptiveRecalibrateModel pins the model-swap commit path used by the
-// recalibration supervisor: both arguments are required, and a successful
-// swap changes the served estimates, the wrapper's name, and the calibration
-// scores together.
-func TestAdaptiveRecalibrateModel(t *testing.T) {
-	model, _, _, cal, test := fixture(t)
-	a, err := NewAdaptive(model, cal, conformal.ResidualScore{},
-		AdaptiveConfig{Alpha: 0.1, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replacement := estimator.Func{N: "replacement", F: func(q workload.Query) float64 {
-		return 0.5 * model.EstimateSelectivity(q)
-	}}
-	if err := a.RecalibrateModel(nil, cal); err == nil {
-		t.Error("RecalibrateModel accepted a nil model")
-	}
-	if err := a.RecalibrateModel(replacement, nil); err == nil {
-		t.Error("RecalibrateModel accepted a nil workload")
-	}
-	if a.Name() != "adaptive/histogram" {
-		t.Fatalf("rejected swaps changed the name to %s", a.Name())
-	}
-	if err := a.RecalibrateModel(replacement, cal); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Name(); got != "adaptive/replacement" {
-		t.Errorf("name after swap = %q, want adaptive/replacement", got)
-	}
-	if got := a.CalibrationSize(); got != len(cal.Queries) {
-		t.Errorf("calibration size after swap = %d, want %d", got, len(cal.Queries))
-	}
-	iv, err := a.Interval(test.Queries[0].Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(iv.Lo >= 0 && iv.Hi <= 1 && iv.Lo <= iv.Hi) {
-		t.Errorf("post-swap interval [%v, %v] invalid", iv.Lo, iv.Hi)
-	}
-}
-
-// TestAdaptiveRecalibrateRace exercises the swap path under the race
-// detector: serving traffic (Interval/Observe/Drifted/Name) races repeated
-// Recalibrate and RecalibrateModel calls, and every served interval must stay
-// finite, ordered, and inside [0, 1].
+// TestAdaptiveRecalibrateRace exercises the recalibration commit under the
+// race detector: serving traffic (Interval/Observe/Drifted/Name) races
+// repeated Recalibrate calls, and every served interval must stay finite,
+// ordered, and inside [0, 1].
 func TestAdaptiveRecalibrateRace(t *testing.T) {
 	model, _, _, cal, test := fixture(t)
 	a, err := NewAdaptive(model, cal, conformal.ResidualScore{},
@@ -344,9 +268,6 @@ func TestAdaptiveRecalibrateRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replacement := estimator.Func{N: "replacement", F: func(q workload.Query) float64 {
-		return 0.5 * model.EstimateSelectivity(q)
-	}}
 	var wg sync.WaitGroup
 	errCh := make(chan string, 64)
 	for w := 0; w < 4; w++ {
@@ -381,22 +302,12 @@ func TestAdaptiveRecalibrateRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if i%2 == 0 {
-				if err := a.Recalibrate(cal); err != nil {
-					select {
-					case errCh <- "Recalibrate: " + err.Error():
-					default:
-					}
-					return
+			if err := a.Recalibrate(cal); err != nil {
+				select {
+				case errCh <- "Recalibrate: " + err.Error():
+				default:
 				}
-			} else {
-				if err := a.RecalibrateModel(replacement, cal); err != nil {
-					select {
-					case errCh <- "RecalibrateModel: " + err.Error():
-					default:
-					}
-					return
-				}
+				return
 			}
 		}
 	}()
@@ -409,8 +320,8 @@ func TestAdaptiveRecalibrateRace(t *testing.T) {
 
 // TestAdaptiveMonitorSnapshotConcurrent races Observe (on a drifting
 // stream, so the alarm fires and clears) against lock-free Drifted /
-// RollingCoverage / DriftStatistic readers and RecalibrateModel commits.
-// Every snapshot a reader loads must be internally consistent, and once the
+// RollingCoverage / DriftStatistic readers and monitor resets. Every
+// snapshot a reader loads must be internally consistent, and once the
 // writers stop the published snapshot must equal what the locked state
 // computes. Run under -race it also proves readers never touch guarded
 // state.
@@ -421,7 +332,8 @@ func TestAdaptiveMonitorSnapshotConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	threshold := math.Log(1 / a.significance)
+	m := a.mon
+	threshold := math.Log(1 / m.significance)
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
 	errCh := make(chan string, 16)
@@ -445,10 +357,7 @@ func TestAdaptiveMonitorSnapshotConcurrent(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		for i := 0; i < 20; i++ {
-			if err := a.RecalibrateModel(model, cal); err != nil {
-				report("RecalibrateModel: " + err.Error())
-				return
-			}
+			m.Reset()
 		}
 	}()
 	for r := 0; r < 2; r++ {
@@ -461,7 +370,7 @@ func TestAdaptiveMonitorSnapshotConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				s := a.snap.Load()
+				s := m.snap.Load()
 				if s.drifted != (s.statistic >= threshold) {
 					report("snapshot drifted flag disagrees with its own statistic")
 				}
@@ -479,9 +388,9 @@ func TestAdaptiveMonitorSnapshotConcurrent(t *testing.T) {
 	for msg := range errCh {
 		t.Error(msg)
 	}
-	a.mu.Lock()
-	wantDrift, wantCov, wantStat := a.mart.Rejects(a.significance), a.hits.mean(), a.mart.MaxLogValue()
-	a.mu.Unlock()
+	m.mu.Lock()
+	wantDrift, wantCov, wantStat := m.mart.Rejects(m.significance), m.hits.mean(), m.mart.MaxLogValue()
+	m.mu.Unlock()
 	if a.Drifted() != wantDrift ||
 		math.Float64bits(a.RollingCoverage()) != math.Float64bits(wantCov) ||
 		math.Float64bits(a.DriftStatistic()) != math.Float64bits(wantStat) {

@@ -8,8 +8,8 @@ import (
 )
 
 // recalStatusResponse is the JSON body of GET /admin/recal: the supervisor's
-// episode counters and last validation verdict joined with the adaptive
-// monitor's live drift telemetry and the currently serving chain. Non-finite
+// episode counters and last validation verdict joined with the monitor's
+// live drift telemetry and the currently serving chain. Non-finite
 // telemetry is sanitised to -1 so the body always encodes.
 type recalStatusResponse struct {
 	Enabled         bool    `json:"enabled"`
@@ -28,7 +28,6 @@ type recalStatusResponse struct {
 	Drifted         bool    `json:"drifted"`
 	DriftStatistic  float64 `json:"drift_statistic"`
 	RollingCoverage float64 `json:"rolling_coverage"`
-	CalibrationSize int     `json:"calibration_size"`
 	Serving         string  `json:"serving"`
 }
 
@@ -41,7 +40,6 @@ func (s *server) handleAdminRecalStatus(w http.ResponseWriter, _ *http.Request) 
 		Drifted:         u.adaptive.Drifted(),
 		DriftStatistic:  sanitizeJSON(u.adaptive.DriftStatistic()),
 		RollingCoverage: sanitizeJSON(u.adaptive.RollingCoverage()),
-		CalibrationSize: u.adaptive.CalibrationSize(),
 		Serving:         u.current().method,
 		LastCoverage:    -1,
 		LastWidth:       -1,

@@ -61,15 +61,16 @@ const maxBatchBodyBytes = 1 << 20
 // Retry-After header. Well-formed requests never see a 5xx — degraded
 // answers widen instead of failing.
 //
-// Every /estimate answer is also fed back into a cardpi.Adaptive monitor
+// Every computed /estimate row is also fed back into a cardpi.Monitor — the
+// served interval's coverage and width and the served estimate's residual
 // (the demo owns the ground-truth oracle, standing in for the executor's
-// actual row counts), so the drift/coverage telemetry is live from the
-// first request. With -recal (on by default) a drift alarm additionally
-// closes the loop: a background supervisor shadow-recalibrates from the
-// recent observations, validates the candidate on held-out coverage, and
-// atomically swaps it into the serving chain — status and manual trigger on
-// /admin/recal (see RELIABILITY.md). The server shuts down gracefully on
-// SIGINT/SIGTERM.
+// actual row counts) — so the drift/coverage telemetry describes what
+// callers are served from the first request. With -recal (on by default) a
+// drift alarm additionally closes the loop: a background supervisor
+// shadow-recalibrates from the recent observations, validates the candidate
+// on held-out coverage, and atomically swaps it into the serving chain —
+// status and manual trigger on /admin/recal (see RELIABILITY.md). The
+// server shuts down gracefully on SIGINT/SIGTERM.
 //
 // With -artifact the server loads a bundle written by `cardpi train` instead
 // of training in-process: startup skips every training and calibration step,
@@ -89,7 +90,6 @@ func runServe(args []string) error {
 		alpha    = fs.Float64("alpha", 0.1, "miscoverage level (coverage = 1-alpha)")
 		queries  = fs.Int("queries", 2000, "training+calibration workload size")
 		seed     = fs.Int64("seed", 1, "random seed")
-		window   = fs.Int("window", 2000, "adaptive monitor's sliding calibration window (>= 1)")
 		csvPath  = fs.String("csv", "", "load the table from a CSV file instead of generating one (with -artifact: the CSV the artifact was trained on)")
 		drain    = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
 
@@ -128,11 +128,6 @@ func runServe(args []string) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %q (serve takes queries over HTTP, not argv)", fs.Args())
-	}
-	if *window < 1 {
-		// An unbounded monitor window grows its calibration set (and the
-		// per-observation insertion cost) without limit over a server's life.
-		return fmt.Errorf("-window must be >= 1 (got %d): a long-running server needs a bounded monitor window", *window)
 	}
 	// One process-wide knob: every row-block-sharded kernel (model forward
 	// passes, conformal interval production, featurisation) fans over this
@@ -187,7 +182,7 @@ func runServe(args []string) error {
 		}
 	}
 	srv, err := newServer(setup, serveOpts{
-		alpha: alphaV, window: *window, seed: seedV,
+		alpha: alphaV, seed: seedV,
 		timeout: *timeout, maxInflight: *maxInflight, maxQueue: *maxQueue,
 		maxBatch:        *maxBatch,
 		breakerFailures: *brFailures, breakerOpen: *brOpen,
@@ -301,7 +296,6 @@ func (ms *modelSource) describe() string {
 // deadlines deterministically.
 type serveOpts struct {
 	alpha           float64
-	window          int
 	seed            int64
 	timeout         time.Duration
 	maxInflight     int
@@ -387,19 +381,20 @@ func sameModel(a, b cardpi.Estimator) (same bool) {
 }
 
 // servingUnit is one complete serving chain — table, estimator, resilient
-// PI, adaptive drift monitor — for one bundle. The default unit (built at
-// startup from -artifact or in-process training) answers unrouted requests;
+// PI, drift monitor — for one bundle. The default unit (built at startup
+// from -artifact or in-process training) answers unrouted requests;
 // registry-routed requests each resolve their own unit. The table and the
 // model/resilient chain live behind atomic pointers: the /admin/scenario
 // harness publishes mutated table clones and the recal supervisor swaps
 // validated recalibrated chains, both without a restart, while every other
-// part of the unit is immutable after construction. The adaptive monitor is
-// shared across swaps — RecalibrateModel re-points it at the new model and
-// reseeds its calibration set in one atomic commit.
+// part of the unit is immutable after construction. The monitor is shared
+// across swaps; a swap resets it.
 type servingUnit struct {
-	tab      atomic.Pointer[dataset.Table]
-	chain    atomic.Pointer[servingChain]
-	adaptive *cardpi.Adaptive
+	tab   atomic.Pointer[dataset.Table]
+	chain atomic.Pointer[servingChain]
+	// adaptive is the drift and served-coverage monitor (the
+	// cardpi_adaptive_* families), fed every computed row.
+	adaptive *cardpi.Monitor
 	// fallback and uopts are retained so a recalibration swap can rebuild
 	// the resilient chain around a new primary with the original fallback
 	// stage and breaker tuning.
@@ -442,7 +437,6 @@ func (u *servingUnit) current() *servingChain { return u.chain.Load() }
 // unitOpts configures newServingUnit — the per-bundle subset of serveOpts.
 type unitOpts struct {
 	alpha           float64
-	window          int
 	seed            int64
 	breakerFailures int
 	breakerOpen     time.Duration
@@ -465,10 +459,11 @@ type unitOpts struct {
 // stay live; the fallback is a split-CP interval around a plain histogram
 // estimator calibrated at alpha/2 — cheap, allocation-light, and with no
 // failure modes of its own — so a sick primary degrades to wider intervals
-// rather than errors. The adaptive drift monitor is seeded with the
-// calibration workload — for artifact- and registry-loaded bundles that is
-// the bundled calibration workload, so the monitor starts from the exact
-// state the training run froze.
+// rather than errors. The drift monitor's martingale is seeded with the
+// model's residuals over the calibration workload — for artifact- and
+// registry-loaded bundles that is the bundled calibration workload, so the
+// monitor starts from the exact state the training run froze. Its coverage
+// and width windows start empty: they hold served intervals only.
 //
 // Registry-built units pass a private metrics registry: the obs families
 // are keyed by name+labels, so two tenants' units exporting into one
@@ -478,14 +473,12 @@ func newServingUnit(s *pipeline.Setup, o unitOpts) (*servingUnit, error) {
 	if o.metrics == nil {
 		o.metrics = obs.NewRegistry()
 	}
-	adaptive, err := cardpi.NewAdaptive(s.Model, s.Cal, conformal.ResidualScore{}, cardpi.AdaptiveConfig{
-		Alpha:   o.alpha,
-		Window:  o.window,
-		Seed:    o.seed + 100,
-		Metrics: o.metrics,
-	})
+	mon, err := cardpi.NewMonitor(s.Model.Name(), 0, o.seed+100, o.metrics)
 	if err != nil {
 		return nil, err
+	}
+	for _, lq := range s.Cal.Queries {
+		mon.ObserveScore(conformal.ResidualScore{}.Of(s.Model.EstimateSelectivity(lq.Query), lq.Sel))
 	}
 	fbModel := histogram.NewSingle(s.Table, histogram.Config{})
 	fallback, err := cardpi.WrapSplitCP(fbModel, s.Cal, conformal.ResidualScore{}, o.alpha/2)
@@ -501,28 +494,22 @@ func newServingUnit(s *pipeline.Setup, o unitOpts) (*servingUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &servingUnit{adaptive: adaptive, fallback: fallback, uopts: o}
+	u := &servingUnit{adaptive: mon, fallback: fallback, uopts: o}
 	u.tab.Store(s.Table)
 	u.chain.Store(newServingChain(s.Model, resilient))
 	if o.cacheEntries > 0 {
 		u.cache = cache.New(cache.Config{
 			Entries: o.cacheEntries, Epoch: o.cacheEpoch, Metrics: o.cacheMetrics,
 		})
-		// Any committed recalibration — the supervisor's swap, an admin
-		// trigger, a direct call — lands after the adaptive monitor's new
-		// state is visible, so cached intervals from the old state die here.
-		adaptive.OnRecalibrate(u.invalidate)
 	}
 	return u, nil
 }
 
 // swapChain is the commit half of a validated recalibration candidate:
 // rebuild the resilient chain around the corrected primary (same fallback
-// stage and breaker tuning), re-point the shared adaptive monitor at the
-// corrected model with the candidate's window as its fresh calibration set,
-// then publish the new chain with one atomic store. The ordering is
-// fail-closed — nothing is published until every fallible step has
-// succeeded, so an error return leaves the old chain serving untouched.
+// stage and breaker tuning), publish it with one atomic store, reset the
+// monitor, and bump the cache epoch. Building the chain is the only
+// fallible step, so an error return leaves the old chain serving untouched.
 func (u *servingUnit) swapChain(c *recal.Candidate) error {
 	resilient, err := cardpi.NewResilient(cardpi.Instrument(c.PI, u.uopts.metrics), cardpi.ResilientConfig{
 		Fallbacks:        []cardpi.PI{u.fallback},
@@ -533,10 +520,9 @@ func (u *servingUnit) swapChain(c *recal.Candidate) error {
 	if err != nil {
 		return err
 	}
-	if err := u.adaptive.RecalibrateModel(c.Model, c.Window); err != nil {
-		return err
-	}
 	u.chain.Store(newServingChain(c.Model, resilient))
+	// The monitor's windows and martingale described the old chain.
+	u.adaptive.Reset()
 	// Publish first, then invalidate: a request racing the swap either
 	// resolved the old chain (and may briefly refill old-epoch entries that
 	// the Put epoch check drops) or sees the new chain with an empty cache.
@@ -653,13 +639,13 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 		epoch = new(cache.Epoch)
 	}
 	// unitFor builds one unit's options. Registry-loaded bundles freeze their
-	// own alpha/seed in the manifest; the per-server knobs (window, breaker
-	// tuning, cache) apply uniformly. Unit-labeled cache instruments go to
+	// own alpha/seed in the manifest; the per-server knobs (breaker tuning,
+	// cache) apply uniformly. Unit-labeled cache instruments go to
 	// the served registry (the obs families collide only on identical label
 	// sets); nil metrics keep everything else on a private registry.
 	unitFor := func(alpha float64, seed int64, label string, metrics *obs.Registry) unitOpts {
 		uo := unitOpts{
-			alpha: alpha, window: o.window, seed: seed,
+			alpha: alpha, seed: seed,
 			breakerFailures: o.breakerFailures, breakerOpen: o.breakerOpen,
 			metrics: metrics,
 		}
@@ -684,7 +670,6 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 			WidthCap:    o.recal.widthCap,
 			Backoff:     o.recal.backoff,
 			MaxBackoff:  o.recal.maxBackoff,
-			NormN:       int64(s.Table.NumRows()),
 			Drifted:     def.adaptive.Drifted,
 			Swap:        def.swapChain,
 			Metrics:     o.metrics,
@@ -1252,17 +1237,17 @@ type monitorState struct {
 }
 
 // computeResult produces the cacheable core of a reply — the interval, the
-// point estimate, and the self-scored ground truth — and feeds the adaptive
-// monitor. Everything in it is a pure function of (chain, table snapshot,
-// canonical query), which is exactly why a cache.Result can be replayed
+// point estimate, and the self-scored ground truth — and feeds the monitor
+// the served row. Everything in it is a pure function of (chain, table
+// snapshot, canonical query), which is exactly why a cache.Result can be replayed
 // bit-identically until an epoch bump retires the (chain, table) pair it
 // was computed against. The demo owns the oracle, so it can score itself; a
 // panicking or erroring model/oracle degrades the telemetry fields, never
 // the reply. The model runs once per row: with hasEst, est is the estimate
 // the interval pass computed (bit-identical to ch.model's own); otherwise
 // (a fallback-served row, or a PI that reports no estimate) computeResult
-// runs the model itself. Either way the monitor scores the same estimate
-// the reply carries.
+// runs the model itself. Either way the monitor scores the same estimate,
+// interval and coverage the reply carries.
 func (u *servingUnit) computeResult(ch *servingChain, tab *dataset.Table, q workload.Query, iv cardpi.Interval, est float64, hasEst bool) cache.Result {
 	pred, predOK := est, hasEst
 	if !hasEst {
@@ -1270,7 +1255,7 @@ func (u *servingUnit) computeResult(ch *servingChain, tab *dataset.Table, q work
 	}
 	truth, truthOK := groundTruth(tab, q)
 	if truthOK && predOK {
-		u.observe(q, pred, float64(truth)/float64(tab.NumRows()))
+		u.observe(q, pred, iv, truth, int64(tab.NumRows()))
 	}
 	if !truthOK {
 		truth = -1
@@ -1314,9 +1299,16 @@ func render(ch *servingChain, tab *dataset.Table, line string, res cache.Result,
 	}
 	if res.HasTruth {
 		resp.TrueRows = res.TrueRows
-		resp.Covered = cardIv.Contains(float64(res.TrueRows))
+		resp.Covered = covers(iv, n, res.TrueRows)
 	}
 	return resp
+}
+
+// covers reports whether the selectivity interval iv, in rows of a table of
+// n rows, contains the true row count: the covered field of a reply, and
+// the coverage sample the monitor records for it.
+func covers(iv cardpi.Interval, n, truth int64) bool {
+	return cardpi.CardinalityInterval(iv, n).Contains(float64(truth))
 }
 
 // batchRequest is the JSON body of POST /estimate/batch: one query string
@@ -1419,15 +1411,18 @@ func rawEstimate(model cardpi.Estimator, q workload.Query) (est float64, ok bool
 	return model.EstimateSelectivity(q), true
 }
 
-// observe feeds the adaptive monitor the served model's estimate pred and
-// the truth and, when the self-healing loop is enabled, the recal
-// supervisor's rolling window — kicking the supervisor on every drifted
-// observation. The kick is level-triggered on purpose: a failed or rejected
-// episode re-arms for as long as the drift persists, instead of waiting for
-// a second alarm edge that never comes. Panics are absorbed.
-func (u *servingUnit) observe(q workload.Query, pred, trueSel float64) {
+// observe feeds the monitor one served row — the residual of the served
+// estimate pred, whether the served interval iv covered the truth (exactly
+// as the reply's covered field says), and iv's width — and, when the
+// self-healing loop is enabled, the recal supervisor's rolling window,
+// kicking the supervisor on every drifted observation. The kick is
+// level-triggered on purpose: a failed or rejected episode re-arms for as
+// long as the drift persists, instead of waiting for a second alarm edge
+// that never comes. Panics are absorbed.
+func (u *servingUnit) observe(q workload.Query, pred float64, iv cardpi.Interval, truth, n int64) {
 	defer func() { _ = recover() }()
-	u.adaptive.ObservePrediction(pred, trueSel)
+	trueSel := float64(truth) / float64(n)
+	u.adaptive.Observe(conformal.ResidualScore{}.Of(pred, trueSel), covers(iv, n, truth), iv.Hi-iv.Lo)
 	if u.recal != nil {
 		u.recal.Record(q, trueSel)
 		if u.adaptive.Drifted() {

@@ -200,18 +200,28 @@ func TestServeCacheScenarioInvalidation(t *testing.T) {
 	}
 }
 
-// TestServeCacheRecalHookInvalidation: a committed recalibration on the
-// default unit's adaptive monitor fires the OnRecalibrate hook, which bumps
-// the epoch — cached intervals from the pre-recalibration state die.
+// TestServeCacheRecalHookInvalidation: committing a recalibration
+// candidate on the default unit (the supervisor's swap) bumps the epoch —
+// cached intervals from the pre-recalibration chain die.
 func TestServeCacheRecalHookInvalidation(t *testing.T) {
 	setup := smallSetup(t)
-	ts, srv, reg := startServer(t, setup, serveOpts{cacheEntries: 1024})
+	ts, srv, reg := startServer(t, setup, serveOpts{
+		cacheEntries: 1024,
+		recal:        recalOpts{enabled: true, window: 64, minObserved: 32},
+	})
 	const q = "state = 3"
 	getEstimate(t, ts.URL, q, "", "")
 	if _, er, _ := getEstimate(t, ts.URL, q, "", ""); !er.Cached {
 		t.Fatal("warm-up did not populate the cache")
 	}
-	if err := srv.def.adaptive.Recalibrate(setup.Cal); err != nil {
+	for _, lq := range setup.Cal.Queries[:64] {
+		srv.def.recal.Record(lq.Query, lq.Sel)
+	}
+	cand, err := srv.def.recal.BuildCandidate()
+	if err != nil || cand.PI == nil {
+		t.Fatalf("BuildCandidate = %+v, %v; want a calibrated candidate", cand, err)
+	}
+	if err := srv.def.swapChain(cand); err != nil {
 		t.Fatal(err)
 	}
 	if ep := metricValue(t, reg, "cardpi_cache_epoch"); ep != 1 {

@@ -212,9 +212,9 @@ func TestServeChaosNo5xx(t *testing.T) {
 		Delay: time.Millisecond,
 	})
 	setup.PI = faultinject.WrapPI(setup.PI, piPlan)
-	// Model faults start after the adaptive monitor's seeding pass (one
-	// estimate per calibration query), so setup stays clean and only live
-	// traffic sees them.
+	// Model faults start after the monitor's seeding pass (one estimate per
+	// calibration query), so setup stays clean and only live traffic sees
+	// them.
 	modelPlan := faultinject.MustPlan(faultinject.Spec{
 		Seed: 23, NaN: 0.1, Panic: 0.1, After: uint64(len(setup.Cal.Queries)),
 	})
@@ -640,7 +640,7 @@ func (m *countingModel) EstimateSelectivityBatch(qs []workload.Query, out []floa
 func forwardCase(t *testing.T, setup *pipeline.Setup, model *countingModel, wantForwards int64) {
 	t.Helper()
 	ts, srv, _ := startServer(t, setup, serveOpts{})
-	adaptive := srv.def.adaptive
+	mon := srv.def.adaptive
 	checkEst := func(line string, got float64) {
 		t.Helper()
 		q, err := workload.ParseQuery(setup.Table, line)
@@ -653,7 +653,7 @@ func forwardCase(t *testing.T, setup *pipeline.Setup, model *countingModel, want
 	}
 
 	line := "state = 3 AND body_type = 2"
-	calls, calSize := model.calls.Load(), adaptive.CalibrationSize()
+	calls, observed := model.calls.Load(), mon.Observations()
 	code, er, body := getEstimate(t, ts.URL, line, "", "")
 	if code != http.StatusOK {
 		t.Fatalf("/estimate status %d: %s", code, body)
@@ -661,13 +661,13 @@ func forwardCase(t *testing.T, setup *pipeline.Setup, model *countingModel, want
 	if got := model.calls.Load() - calls; got != wantForwards {
 		t.Fatalf("/estimate ran the model %d times, want %d", got, wantForwards)
 	}
-	if got := adaptive.CalibrationSize() - calSize; got != 1 {
+	if got := mon.Observations() - observed; got != 1 {
 		t.Fatalf("/estimate made %d observations, want 1", got)
 	}
 	checkEst(line, er.EstSel)
 
 	lines := []string{"state = 3", "county = 10 AND body_type = 2", "model_year BETWEEN 40 AND 90"}
-	calls, calSize = model.calls.Load(), adaptive.CalibrationSize()
+	calls, observed = model.calls.Load(), mon.Observations()
 	resp := postBatch(t, ts, lines)
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
@@ -680,7 +680,7 @@ func forwardCase(t *testing.T, setup *pipeline.Setup, model *countingModel, want
 	if got, want := model.calls.Load()-calls, 3*wantForwards; got != want {
 		t.Fatalf("3-row /estimate/batch ran the model %d times, want %d", got, want)
 	}
-	if got := adaptive.CalibrationSize() - calSize; got != 3 {
+	if got := mon.Observations() - observed; got != 3 {
 		t.Fatalf("3-row /estimate/batch made %d observations, want 3", got)
 	}
 	var br batchResponse
@@ -778,7 +778,7 @@ func TestServeEstimateFaultsAndMonitor(t *testing.T) {
 	model := &faultyEstimate{Estimator: setup.Model}
 	setup.Model = model
 	ts, srv, reg := startServer(t, setup, serveOpts{})
-	adaptive := srv.def.adaptive
+	mon := srv.def.adaptive
 	dropped := func() string {
 		for _, line := range strings.Split(metricsDumpFor(t, reg), "\n") {
 			if strings.HasPrefix(line, "cardpi_adaptive_dropped_observations_total{") {
@@ -790,7 +790,7 @@ func TestServeEstimateFaultsAndMonitor(t *testing.T) {
 	}
 	for _, c := range []struct{ mode, wantDropped string }{{"panic", "0"}, {"nan", "1"}} {
 		model.mode.Store(c.mode)
-		calSize := adaptive.CalibrationSize()
+		observed := mon.Observations()
 		code, er, body := getEstimate(t, ts.URL, "state = 3", "", "")
 		if code != http.StatusOK {
 			t.Fatalf("%s: /estimate status %d: %s", c.mode, code, body)
@@ -798,7 +798,7 @@ func TestServeEstimateFaultsAndMonitor(t *testing.T) {
 		if er.EstSel != -1 {
 			t.Fatalf("%s: est_sel = %v, want -1", c.mode, er.EstSel)
 		}
-		if got := adaptive.CalibrationSize() - calSize; got != 0 {
+		if got := mon.Observations() - observed; got != 0 {
 			t.Fatalf("%s: %d observations made, want 0", c.mode, got)
 		}
 		if got := dropped(); got != c.wantDropped {

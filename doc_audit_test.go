@@ -90,6 +90,23 @@ func TestObservabilityDocCoversRecalSurface(t *testing.T) {
 	}
 }
 
+// TestObservabilityDocCoversAdaptiveSurface does the same for the drift and
+// served-coverage monitor: every cardpi_adaptive_* metric family created in
+// the root package (Monitor, Adaptive) or by cmd/cardpi must appear in
+// OBSERVABILITY.md.
+func TestObservabilityDocCoversAdaptiveSurface(t *testing.T) {
+	metrics := sourceMatches(t, regexp.MustCompile(`cardpi_adaptive_[a-z_]+`), ".", "cmd/cardpi")
+	if len(metrics) == 0 {
+		t.Fatal("surface scan found no cardpi_adaptive_* families — the scanner is broken")
+	}
+	observability := readDoc(t, "OBSERVABILITY.md")
+	for _, m := range metrics {
+		if !strings.Contains(observability, m) {
+			t.Errorf("OBSERVABILITY.md does not document adaptive monitor metric %s", m)
+		}
+	}
+}
+
 // TestObservabilityDocCoversSynthSurface does the same for the estimator
 // synthesis meta-search: every cardpi_synth_* metric family created in code
 // must appear in OBSERVABILITY.md.

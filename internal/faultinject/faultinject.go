@@ -252,8 +252,8 @@ func (f *FaultyPI) IntervalCtx(ctx context.Context, q workload.Query) (conformal
 
 // FaultyEstimator decorates an estimator with a fault plan. Error faults
 // surface as NaN (the Estimator interface has no error return); latency
-// faults sleep the full delay on the plain surface and honour the deadline
-// on EstimateCtx. Safe for concurrent use whenever the wrapped estimator is.
+// faults sleep the full delay (the Estimator interface has no context).
+// Safe for concurrent use whenever the wrapped estimator is.
 type FaultyEstimator struct {
 	inner estimator.Estimator
 	plan  *Plan
@@ -267,34 +267,18 @@ func WrapEstimator(m estimator.Estimator, plan *Plan) *FaultyEstimator {
 // Name implements estimator.Estimator, marking the model as fault-injected.
 func (f *FaultyEstimator) Name() string { return "faulty/" + f.inner.Name() }
 
-// EstimateSelectivity implements estimator.Estimator.
+// EstimateSelectivity implements estimator.Estimator, applying the
+// scheduled fault around the wrapped estimate.
 func (f *FaultyEstimator) EstimateSelectivity(q workload.Query) float64 {
-	sel, _ := f.estimate(context.Background(), q)
-	return sel
-}
-
-// EstimateCtx implements the context-aware estimator surface
-// (cardpi.ContextEstimator): injected latency observes the deadline.
-func (f *FaultyEstimator) EstimateCtx(ctx context.Context, q workload.Query) (float64, error) {
-	return f.estimate(ctx, q)
-}
-
-// estimate applies the scheduled fault around the wrapped estimate.
-func (f *FaultyEstimator) estimate(ctx context.Context, q workload.Query) (float64, error) {
 	switch f.plan.next() {
 	case Error, NaN:
-		return math.NaN(), nil
+		return math.NaN()
 	case Panic:
 		panic("faultinject: injected panic")
 	case Latency:
-		if err := sleep(ctx, f.plan.spec.Delay); err != nil {
-			return 0, err
-		}
+		time.Sleep(f.plan.spec.Delay)
 	case Stale:
-		return estimator.Clamp01(f.inner.EstimateSelectivity(q) + f.plan.spec.Bias), nil
+		return estimator.Clamp01(f.inner.EstimateSelectivity(q) + f.plan.spec.Bias)
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return f.inner.EstimateSelectivity(q), nil
+	return f.inner.EstimateSelectivity(q)
 }

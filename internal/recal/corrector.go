@@ -1,7 +1,7 @@
 // Package recal closes the drift loop for a serving chain: it maintains a
-// rolling window of recently observed labeled queries, and when the Adaptive
-// drift monitor alarms it runs a background shadow recalibration — fit a
-// lightweight TiCard-style residual corrector over the frozen model's
+// rolling window of recently observed labeled queries, and when the serving
+// unit's drift monitor alarms it runs a background shadow recalibration —
+// fit a lightweight TiCard-style residual corrector over the frozen model's
 // estimates, rebuild split-conformal calibration scores from the window,
 // validate the candidate chain on a held-out slice, and hand the accepted
 // candidate to a caller-supplied atomic swap. Every error path fails closed:

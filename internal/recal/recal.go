@@ -67,10 +67,9 @@ const (
 	ReasonError = "error"
 )
 
-// sample is one labeled observation in the rolling window: the query, the
-// frozen base model's estimate at observation time, and the true selectivity.
+// sample is one labeled observation in the rolling window: the frozen base
+// model's estimate at observation time and the true selectivity.
 type sample struct {
-	q     workload.Query
 	est   float64
 	truth float64
 }
@@ -110,9 +109,6 @@ type Config struct {
 	Backoff time.Duration
 	// MaxBackoff caps the exponential backoff (default 30s).
 	MaxBackoff time.Duration
-	// NormN is the row count used to label the rebuilt window workload
-	// (cardinality = selectivity × NormN).
-	NormN int64
 	// Drifted gates non-forced kicks: when non-nil and false at kick time,
 	// the kick is dropped (the alarm cleared before the supervisor woke).
 	Drifted func() bool
@@ -151,18 +147,14 @@ type ValidationReport struct {
 }
 
 // Candidate is a fully built, validated (or rejected — check Report)
-// recalibration candidate: the corrected estimator, its conformal interval
-// head, and the window snapshot it was calibrated on (for seeding the
-// adaptive monitor after a swap).
+// recalibration candidate: the corrected estimator and its conformal
+// interval head.
 type Candidate struct {
 	// Model is the corrected estimator; satisfies cardpi.Estimator.
 	Model *Corrected
 	// PI is the split-conformal head over Model; satisfies cardpi.PI. Nil
 	// when the candidate was rejected before calibration.
 	PI *CandidatePI
-	// Window is the rolling-window snapshot as a labeled workload, for
-	// reseeding the adaptive monitor's online calibration set.
-	Window *workload.Workload
 	// Report is the held-out validation verdict.
 	Report ValidationReport
 }
@@ -312,7 +304,7 @@ func (s *Supervisor) registerMetrics(reg *obs.Registry) {
 	s.valWidthG = reg.Gauge("cardpi_recal_validation_width",
 		"Held-out mean interval width (normalised selectivity) of the most recently validated candidate.")
 	s.swapH = reg.Histogram("cardpi_recal_swap_seconds",
-		"Latency of the atomic chain swap (monitor reseed + pointer store) for accepted candidates.",
+		"Latency of the atomic chain swap (pointer store + monitor reset) for accepted candidates.",
 		obs.LatencyBuckets)
 	reg.GaugeFunc("cardpi_recal_window_size",
 		"Current rolling-window occupancy in labeled observations.", func() float64 {
@@ -336,9 +328,9 @@ func (s *Supervisor) Record(q workload.Query, trueSel float64) {
 	}
 	s.mu.Lock()
 	if len(s.samples) < s.cfg.Window {
-		s.samples = append(s.samples, sample{q: q, est: est, truth: trueSel})
+		s.samples = append(s.samples, sample{est: est, truth: trueSel})
 	} else {
-		s.samples[s.total%s.cfg.Window] = sample{q: q, est: est, truth: trueSel}
+		s.samples[s.total%s.cfg.Window] = sample{est: est, truth: trueSel}
 	}
 	s.total++
 	s.mu.Unlock()
@@ -566,19 +558,9 @@ func (s *Supervisor) BuildCandidate() (*Candidate, error) {
 	}
 
 	model := NewCorrected(s.cfg.Base, corr)
-	wl := &workload.Workload{NormN: s.cfg.NormN, Queries: make([]workload.Labeled, 0, len(snap))}
-	for _, sm := range snap {
-		wl.Queries = append(wl.Queries, workload.Labeled{
-			Query: sm.q,
-			Card:  int64(sm.truth * float64(s.cfg.NormN)),
-			Sel:   sm.truth,
-			Norm:  s.cfg.NormN,
-		})
-	}
 	return &Candidate{
 		Model:  model,
 		PI:     &CandidatePI{model: model, cp: cp},
-		Window: wl,
 		Report: rep,
 	}, nil
 }

@@ -181,7 +181,6 @@ func testConfig(swap func(*Candidate) error) Config {
 		MaxAttempts:   3,
 		Backoff:       100 * time.Millisecond,
 		MaxBackoff:    time.Minute,
-		NormN:         10000,
 		Swap:          swap,
 	}
 }
@@ -313,17 +312,14 @@ func TestBuildCandidateAcceptsCorrectableBias(t *testing.T) {
 	if rep.ValSamples < 8 || rep.FitSamples < MinFitSamples {
 		t.Errorf("split too small: fit %d val %d", rep.FitSamples, rep.ValSamples)
 	}
-	if cand.Model == nil || cand.PI == nil || cand.Window == nil {
-		t.Fatal("accepted candidate missing model, PI, or window snapshot")
+	if cand.Model == nil || cand.PI == nil {
+		t.Fatal("accepted candidate missing model or PI")
 	}
 	if got := cand.Model.Name(); got != "recal/base" {
 		t.Errorf("model name = %q", got)
 	}
 	if got := cand.PI.Name(); got != "recal-cp/base" {
 		t.Errorf("PI name = %q", got)
-	}
-	if got := len(cand.Window.Queries); got != 64 {
-		t.Errorf("window snapshot has %d queries, want 64", got)
 	}
 	// The corrected chain's intervals must be valid selectivities.
 	iv, err := cand.PI.Interval(indexQuery(7))

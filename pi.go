@@ -88,31 +88,6 @@ func IntervalCtx(ctx context.Context, pi PI, q workload.Query) (Interval, error)
 	return pi.Interval(q)
 }
 
-// ContextEstimator is the context-aware extension of Estimator for models
-// whose inference can honour cancellation (remote backends, injected-latency
-// test doubles). EstimateCtx returns a normalised selectivity in [0, 1] or
-// ctx.Err() once the context is done.
-type ContextEstimator interface {
-	Estimator
-	// EstimateCtx is EstimateSelectivity under a context.
-	EstimateCtx(ctx context.Context, q workload.Query) (float64, error)
-}
-
-// EstimateCtx invokes the model with the context when supported, shimming a
-// pre-call cancellation check around plain estimators otherwise. The
-// returned selectivity is in [0, 1] (whatever the model produced — callers
-// needing guarantees sanitize downstream). Safe for concurrent use whenever
-// m is; adds no heap allocations.
-func EstimateCtx(ctx context.Context, m Estimator, q workload.Query) (float64, error) {
-	if cm, ok := m.(ContextEstimator); ok {
-		return cm.EstimateCtx(ctx, q)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return m.EstimateSelectivity(q), nil
-}
-
 // clip bounds an interval to the feasible selectivity range.
 func clip(iv Interval) Interval { return iv.Clip(0, 1) }
 

@@ -265,9 +265,6 @@ func NewResilient(primary PI, cfg ResilientConfig) (*Resilient, error) {
 // Name implements PI; the chain reports as "resilient/<primary name>".
 func (r *Resilient) Name() string { return "resilient/" + r.stages[0].Name() }
 
-// Primary returns the chain's primary stage (the wrapped learned PI).
-func (r *Resilient) Primary() PI { return r.stages[0] }
-
 // BreakerState returns the current circuit-breaker state. Safe for
 // concurrent use.
 func (r *Resilient) BreakerState() BreakerState { return r.br.current() }
