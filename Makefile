@@ -26,7 +26,8 @@ bench:
 # encoder vs encoding/json; the speedups block records the ratios), the
 # multi-core batch
 # matrix as BENCH_batch_mt.json, the exact count oracle (Table.Count
-# against its row-at-a-time reference) as BENCH_count.json, and the query
+# against the column scan and the row-at-a-time reference, and the build of
+# its per-column value orders) as BENCH_count.json, and the query
 # parser (ParseQuery against its reference lexer and merge) as
 # BENCH_parse.json.
 bench-json:
@@ -41,7 +42,7 @@ bench-json:
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_pi.json
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkIntervalBatchMT$$' -benchmem . ; } \
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_batch_mt.json
-	@{ $(GO) test -run '^$$' -bench '^BenchmarkCount(RowScan)?$$' -benchmem ./internal/dataset/ ; } \
+	@{ $(GO) test -run '^$$' -bench '^BenchmarkCount(Scan|RowScan|IndexBuild)?$$' -benchmem ./internal/dataset/ ; } \
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_count.json
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkParseQuery(Ref)?$$' -benchmem ./internal/workload/ ; } \
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_parse.json

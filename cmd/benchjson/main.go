@@ -5,7 +5,8 @@
 // and reply-encoder benchmarks into BENCH_pi.json, and
 // the worker-count scaling matrix (BenchmarkIntervalBatchMT) into
 // BENCH_batch_mt.json, the count oracle (BenchmarkCount against
-// BenchmarkCountRowScan) into BENCH_count.json, and the query parser
+// BenchmarkCountScan and BenchmarkCountRowScan, plus the value-order build)
+// into BENCH_count.json, and the query parser
 // (BenchmarkParseQuery against BenchmarkParseQueryRef) into
 // BENCH_parse.json, giving future changes a perf trajectory to compare
 // against.
@@ -184,13 +185,13 @@ func speedups(bs []Benchmark) map[string]float64 {
 	// The append reply encoder against encoding/json with SetIndent on one
 	// serve-shaped /estimate reply (BENCH_pi.json).
 	ratio("reply_encode_servebench-shaped_vs_json", "BenchmarkReplyEncodeJSON/servebench-shaped", "BenchmarkReplyEncode/servebench-shaped")
-	// The column-at-a-time count kernel against the row-at-a-time
-	// reference, and the 100k-row fan-out against one goroutine
-	// (BENCH_count.json).
-	for _, w := range []string{"servebench-shaped", "dmv-100k"} {
-		ratio("count_"+w+"_vs_rowscan", "BenchmarkCountRowScan/"+w, "BenchmarkCount/"+w)
+	// Table.Count on its per-column value orders against the
+	// row-at-a-time reference and against the column-at-a-time scan it ran
+	// before them (BENCH_count.json); the broad cases fall back to that scan.
+	for _, w := range []string{"servebench-shaped", "dmv-100k", "dmv-20k-broad", "power-200k-narrow", "power-200k-broad"} {
+		ratio("count_"+w+"_index_vs_rowscan", "BenchmarkCountRowScan/"+w, "BenchmarkCount/"+w)
+		ratio("count_"+w+"_index_vs_scan", "BenchmarkCountScan/"+w, "BenchmarkCount/"+w)
 	}
-	ratio("count_dmv-100k_fanout_vs_one_goroutine", "BenchmarkCount/dmv-100k-one-goroutine", "BenchmarkCount/dmv-100k")
 	// The allocation-free query parser against its reference
 	// (BENCH_parse.json).
 	for _, w := range []string{"servebench-shaped", "header-form", "join"} {

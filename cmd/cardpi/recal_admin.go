@@ -95,12 +95,12 @@ type adminScenarioRequest struct {
 }
 
 // handleAdminScenario answers POST /admin/scenario: run a dataset-mutation
-// drill against the default unit's live table. The mutation is
-// copy-on-write — clone the serving table, mutate the clone, publish it with
-// one atomic store — so concurrent requests never observe a half-mutated
-// table; the estimator and its statistics stay frozen on the old
-// distribution, which is exactly the staleness drift the drill exists to
-// provoke. Gated behind -scenario-admin (403 otherwise).
+// drill against the default unit's live table. The mutator returns a
+// mutated copy, published with one atomic store, so concurrent requests
+// finish on the table they resolved and never observe a half-mutated one;
+// the estimator and its statistics stay frozen on the old distribution,
+// which is exactly the staleness drift the drill exists to provoke. Gated
+// behind -scenario-admin (403 otherwise).
 func (s *server) handleAdminScenario(w http.ResponseWriter, r *http.Request) {
 	if !s.scenarioAdmin {
 		httpError(w, http.StatusForbidden, "scenario_disabled",
@@ -113,16 +113,16 @@ func (s *server) handleAdminScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	s.scenarioMu.Lock()
 	defer s.scenarioMu.Unlock()
-	clone := scenario.Clone(s.def.table())
+	tab := s.def.table()
 	var changed int
 	var err error
 	switch req.Action {
 	case "degrade":
-		changed, err = scenario.Degrade(clone, req.Health, req.Seed)
+		tab, changed, err = scenario.Degrade(tab, req.Health, req.Seed)
 	case "insert":
-		changed, err = scenario.InsertSkewed(clone, req.Rows, req.Seed)
+		tab, changed, err = scenario.InsertSkewed(tab, req.Rows, req.Seed)
 	case "skew":
-		changed, err = scenario.SkewColumn(clone, req.Column, req.Frac, req.Seed)
+		tab, changed, err = scenario.SkewColumn(tab, req.Column, req.Frac, req.Seed)
 	default:
 		httpError(w, http.StatusBadRequest, "unknown_action",
 			"action %q is not one of degrade, insert, skew", req.Action)
@@ -132,15 +132,15 @@ func (s *server) handleAdminScenario(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad_scenario", "%v", err)
 		return
 	}
-	s.def.tab.Store(clone)
+	s.def.tab.Store(tab)
 	// Publish first, then invalidate: ground truths cached against the old
-	// table must become unreachable the moment the mutated clone serves.
+	// table must become unreachable the moment the mutated table serves.
 	s.def.invalidate()
-	logStderr("admin: scenario %s mutated %d rows (table now %d rows)", req.Action, changed, clone.NumRows())
+	logStderr("admin: scenario %s mutated %d rows (table now %d rows)", req.Action, changed, tab.NumRows())
 	writeJSON(w, map[string]any{
 		"action":  req.Action,
 		"changed": changed,
-		"rows":    clone.NumRows(),
+		"rows":    tab.NumRows(),
 	})
 }
 

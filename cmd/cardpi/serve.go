@@ -1255,7 +1255,7 @@ func (u *servingUnit) computeResult(ch *servingChain, tab *dataset.Table, q work
 	}
 	truth, truthOK := groundTruth(tab, q)
 	if truthOK && predOK {
-		u.observe(q, pred, iv, truth, int64(tab.NumRows()))
+		u.observe(ch, q, pred, iv, truth, int64(tab.NumRows()))
 	}
 	if !truthOK {
 		truth = -1
@@ -1415,16 +1415,22 @@ func rawEstimate(model cardpi.Estimator, q workload.Query) (est float64, ok bool
 // estimate pred, whether the served interval iv covered the truth (exactly
 // as the reply's covered field says), and iv's width — and, when the
 // self-healing loop is enabled, the recal supervisor's rolling window,
-// kicking the supervisor on every drifted observation. The kick is
-// level-triggered on purpose: a failed or rejected episode re-arms for as
-// long as the drift persists, instead of waiting for a second alarm edge
-// that never comes. Panics are absorbed.
-func (u *servingUnit) observe(q workload.Query, pred float64, iv cardpi.Interval, truth, n int64) {
+// kicking the supervisor on every drifted observation. The window holds the
+// frozen base model's estimates: while ch serves that model, pred is one,
+// and only a swapped-in chain makes the supervisor run the base model
+// itself. The kick is level-triggered on purpose: a failed or rejected
+// episode re-arms for as long as the drift persists, instead of waiting for
+// a second alarm edge that never comes. Panics are absorbed.
+func (u *servingUnit) observe(ch *servingChain, q workload.Query, pred float64, iv cardpi.Interval, truth, n int64) {
 	defer func() { _ = recover() }()
 	trueSel := float64(truth) / float64(n)
 	u.adaptive.Observe(conformal.ResidualScore{}.Of(pred, trueSel), covers(iv, n, truth), iv.Hi-iv.Lo)
 	if u.recal != nil {
-		u.recal.Record(q, trueSel)
+		if sameModel(ch.model, u.recal.Base()) {
+			u.recal.RecordBase(pred, trueSel)
+		} else {
+			u.recal.Record(q, trueSel)
+		}
 		if u.adaptive.Drifted() {
 			u.recal.Kick()
 		}

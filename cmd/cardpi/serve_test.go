@@ -753,6 +753,54 @@ func TestSameModel(t *testing.T) {
 	}
 }
 
+// TestServeRecalOneForwardPerComputedRow: the recal supervisor's window
+// holds the frozen base model's estimates. While the chain serves that
+// model, serve hands the supervisor the estimate it just served, so a
+// cache-off server still runs the model once per computed row. Once a
+// different chain serves, the supervisor runs the base model itself.
+func TestServeRecalOneForwardPerComputedRow(t *testing.T) {
+	setup := smallSetup(t)
+	base := &countingModel{Estimator: setup.Model}
+	pi, err := cardpi.WrapSplitCP(base, setup.Cal, conformal.ResidualScore{}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup.Model, setup.PI = base, pi
+	ts, srv, _ := startServer(t, setup, serveOpts{recal: recalOpts{enabled: true}})
+	sup := srv.def.recal
+	lines := []string{"state = 3", "county = 10 AND body_type = 2", "model_year BETWEEN 40 AND 90"}
+	check := func(stage string) {
+		t.Helper()
+		for _, line := range lines {
+			calls, observed := base.calls.Load(), sup.Status().Observed
+			if code, _, body := getEstimate(t, ts.URL, line, "", ""); code != http.StatusOK {
+				t.Fatalf("%s: /estimate status %d: %s", stage, code, body)
+			}
+			if got := base.calls.Load() - calls; got != 1 {
+				t.Fatalf("%s: %q ran the base model %d times, want 1", stage, line, got)
+			}
+			if got := sup.Status().Observed - observed; got != 1 {
+				t.Fatalf("%s: %q recorded %d samples, want 1", stage, line, got)
+			}
+		}
+	}
+	check("base chain")
+
+	// Serve another model: the one base forward per row is now the
+	// supervisor's own.
+	other := histogram.NewSingle(setup.Table, histogram.Config{})
+	otherPI, err := cardpi.WrapSplitCP(other, setup.Cal, conformal.ResidualScore{}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cardpi.NewResilient(otherPI, cardpi.ResilientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.def.chain.Store(newServingChain(other, res))
+	check("swapped chain")
+}
+
 // faultyEstimate wraps a model whose point estimate, once armed, panics or
 // returns NaN.
 type faultyEstimate struct {

@@ -35,11 +35,13 @@ func servebenchQueries(tab *Table, n int, seed int64) [][]Predicate {
 }
 
 // countCase is one BenchmarkCount workload: a table and the queries an
-// iteration cycles through.
+// iteration cycles through. broad marks the queries whose narrowest
+// conjunct holds over half the table, so Count falls back to the scan.
 type countCase struct {
 	name    string
 	tab     *Table
 	queries [][]Predicate
+	broad   bool
 }
 
 func countCases(b *testing.B) []countCase {
@@ -51,18 +53,57 @@ func countCases(b *testing.B) []countCase {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return []countCase{
-		{"dmv-100k", big, [][]Predicate{{
+	// power's rows are independent draws, so a value order visits rows in
+	// random order and a refined run reads the other columns at random.
+	power, err := GeneratePower(GenConfig{Rows: 200000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []countCase{
+		{name: "dmv-100k", tab: big, queries: [][]Predicate{{
 			{Col: "state", Op: OpEq, Lo: 3},
 			{Col: "model_year", Op: OpRange, Lo: 40, Hi: 90},
 		}}},
-		{"servebench-shaped", small, servebenchQueries(small, 4096, 3)},
+		{name: "servebench-shaped", tab: small, queries: servebenchQueries(small, 4096, 3)},
+		{name: "dmv-20k-broad", tab: small, broad: true, queries: [][]Predicate{{
+			{Col: "model_year", Op: OpRange, Lo: 20, Hi: 119},
+			{Col: "record_type", Op: OpRange, Lo: 0, Hi: 40},
+			{Col: "state", Op: OpRange, Lo: 0, Hi: 40},
+			{Col: "color", Op: OpRange, Lo: 0, Hi: 15},
+		}}},
+		{name: "power-200k-narrow", tab: power, queries: [][]Predicate{{
+			{Col: "global_active_power", Op: OpRange, Lo: 100, Hi: 120},
+			{Col: "voltage", Op: OpRange, Lo: 400, Hi: 550},
+			{Col: "sub_metering_3", Op: OpRange, Lo: 0, Hi: 200},
+		}}},
+		{name: "power-200k-broad", tab: power, broad: true, queries: [][]Predicate{{
+			{Col: "global_active_power", Op: OpRange, Lo: 0, Hi: 800},
+			{Col: "voltage", Op: OpRange, Lo: 330, Hi: 650},
+			{Col: "sub_metering_3", Op: OpRange, Lo: 0, Hi: 300},
+		}}},
 	}
+	// A fixed-query case must take the path its name says.
+	for _, cc := range cases {
+		if len(cc.queries) != 1 {
+			continue
+		}
+		c, err := cc.tab.compile(cc.queries[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		narrowest := cc.tab.NumRows()
+		for _, bd := range c.bounds() {
+			narrowest = min(narrowest, len(bd.matchRange(cc.tab.order(bd.ci))))
+		}
+		if broad := 2*narrowest > cc.tab.NumRows(); broad != cc.broad {
+			b.Fatalf("%s: narrowest conjunct holds %d of %d rows, broad = %v", cc.name, narrowest, cc.tab.NumRows(), broad)
+		}
+	}
+	return cases
 }
 
-// BenchmarkCount times Table.Count. dmv-100k is above parallelThreshold, so
-// it fans out across GOMAXPROCS goroutines; dmv-100k-one-goroutine runs the
-// same scan on the calling goroutine, to show whether the fan-out pays.
+// BenchmarkCount times Table.Count, which answers from the value orders
+// (built before the timer starts) unless the case is broad.
 func BenchmarkCount(b *testing.B) {
 	for _, cc := range countCases(b) {
 		b.Run(cc.name, func(b *testing.B) {
@@ -73,24 +114,30 @@ func BenchmarkCount(b *testing.B) {
 				}
 			}
 		})
-		if cc.tab.NumRows() < parallelThreshold {
-			continue
-		}
-		b.Run(cc.name+"-one-goroutine", func(b *testing.B) {
+	}
+}
+
+// BenchmarkCountScan times the column-at-a-time scan on the same workloads:
+// what Count ran for every query before the value orders, fanned out across
+// GOMAXPROCS goroutines above parallelThreshold, and what it still runs for
+// broad ones.
+func BenchmarkCountScan(b *testing.B) {
+	for _, cc := range countCases(b) {
+		b.Run(cc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c, err := cc.tab.compile(cc.queries[i%len(cc.queries)])
 				if err != nil {
 					b.Fatal(err)
 				}
-				scan(c.bounds(), 0, cc.tab.NumRows(), nil)
+				scanCount(c.bounds(), cc.tab.NumRows())
 			}
 		})
 	}
 }
 
 // BenchmarkCountRowScan times the row-at-a-time reference on the same
-// workloads, one goroutine, as the before side of BenchmarkCount.
+// workloads, one goroutine.
 func BenchmarkCountRowScan(b *testing.B) {
 	for _, cc := range countCases(b) {
 		b.Run(cc.name, func(b *testing.B) {
@@ -102,6 +149,31 @@ func BenchmarkCountRowScan(b *testing.B) {
 				}
 				countChunk(c, 0, cc.tab.NumRows())
 			}
+		})
+	}
+}
+
+// BenchmarkCountIndexBuild times building every column's value order of a
+// table, as the first Counts over all its columns do. B/op is the
+// allocation, scratch included; index-bytes is what the table keeps.
+func BenchmarkCountIndexBuild(b *testing.B) {
+	for _, g := range []struct {
+		name string
+		gen  func(GenConfig) (*Table, error)
+		rows int
+	}{{"dmv-20k", GenerateDMV, 20000}, {"power-200k", GeneratePower, 200000}} {
+		tab, err := g.gen(GenConfig{Rows: g.rows, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, c := range tab.Cols {
+					sortRows(c.Values)
+				}
+			}
+			b.ReportMetric(float64(4*tab.NumRows()*tab.NumCols()), "index-bytes")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -54,9 +55,11 @@ func (p Predicate) String() string {
 	return fmt.Sprintf("%d <= %s <= %d", p.Lo, p.Col, p.Hi)
 }
 
-// bound is a compiled per-column range check: lo <= v <= hi.
+// bound is a compiled per-column range check, lo <= v <= hi, on the
+// table's column ci.
 type bound struct {
 	col    []int64
+	ci     int
 	lo, hi int64
 }
 
@@ -87,8 +90,8 @@ func (t *Table) compile(preds []Predicate) (conjunction, error) {
 	}
 	bounds := c.bounds()
 	for i, p := range preds {
-		col := t.Column(p.Col)
-		if col == nil {
+		ci, ok := t.byName[p.Col]
+		if !ok {
 			return conjunction{}, fmt.Errorf("dataset: table %q has no column %q", t.Name, p.Col)
 		}
 		lo, hi := p.Lo, p.Hi
@@ -96,7 +99,7 @@ func (t *Table) compile(preds []Predicate) (conjunction, error) {
 			hi = p.Lo
 		}
 		c.empty = c.empty || hi < lo
-		bounds[i] = bound{col: col.Values, lo: lo, hi: hi}
+		bounds[i] = bound{col: t.Cols[ci].Values, ci: ci, lo: lo, hi: hi}
 	}
 	return c, nil
 }
@@ -187,20 +190,72 @@ func (b bound) refine(sel *[blockRows]int32, k int, vals []int64) int {
 const parallelThreshold = 65536
 
 // Count returns the exact number of rows in t satisfying the conjunction of
-// preds. Predicates naming columns absent from t yield an error. Large
-// tables are scanned in parallel chunks; the result is exact and
-// deterministic either way.
+// preds. Predicates naming columns absent from t yield an error.
+//
+// Each conjunct matches one contiguous run of its column's value order (see
+// order.go), found by two binary searches. One conjunct is answered by its
+// run's length, with no scan. Otherwise the narrowest run seeds
+// the selection vector and the other conjuncts refine it, unless that run
+// covers more than half the table: then a full scan, fanned out across CPUs
+// on large tables, reads less. The result is exact either way.
 func (t *Table) Count(preds []Predicate) (int64, error) {
 	c, err := t.compile(preds)
 	if err != nil || c.empty {
 		return 0, err
 	}
-	n := t.NumRows()
-	if n < parallelThreshold {
-		return scan(c.bounds(), 0, n, nil), nil
+	bounds, n := c.bounds(), t.NumRows()
+	if len(bounds) == 0 {
+		return int64(n), nil
 	}
-	// The chunk goroutines get their own copy, so c stays on the stack.
-	bounds := slices.Clone(c.bounds())
+	if n > math.MaxInt32 {
+		return scanCount(bounds, n), nil // row ids would not fit the int32 orders
+	}
+	seed, ids := 0, []int32(nil)
+	for i, b := range bounds {
+		run := b.matchRange(t.order(b.ci))
+		if i == 0 || len(run) < len(ids) {
+			seed, ids = i, run
+		}
+	}
+	switch {
+	case len(bounds) == 1:
+		return int64(len(ids)), nil
+	case 2*len(ids) > n:
+		return scanCount(bounds, n), nil
+	}
+	return refineRun(bounds, seed, ids), nil
+}
+
+// refineRun counts the rows of ids, the run of bounds[seed], that satisfy
+// every other bound: each block of ids is copied into the selection vector
+// as absolute row ids and compacted by refine against the whole column.
+func refineRun(bounds []bound, seed int, ids []int32) int64 {
+	var sel [blockRows]int32
+	var total int64
+	for len(ids) > 0 {
+		k := copy(sel[:], ids)
+		ids = ids[k:]
+		for i, b := range bounds {
+			if k == 0 {
+				break
+			}
+			if i != seed {
+				k = b.refine(&sel, k, b.col)
+			}
+		}
+		total += int64(k)
+	}
+	return total
+}
+
+// scanCount scans all n rows, in parallel chunks above parallelThreshold.
+func scanCount(bounds []bound, n int) int64 {
+	if n < parallelThreshold {
+		return scan(bounds, 0, n, nil)
+	}
+	// The chunk goroutines get their own copy, so the caller's bounds stay
+	// on its stack.
+	shared := slices.Clone(bounds)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 8 {
 		workers = 8
@@ -220,7 +275,7 @@ func (t *Table) Count(preds []Predicate) (int64, error) {
 		wg.Add(1)
 		go func(w, start, end int) {
 			defer wg.Done()
-			partial[w] = scan(bounds, start, end, nil)
+			partial[w] = scan(shared, start, end, nil)
 		}(w, start, end)
 	}
 	wg.Wait()
@@ -228,7 +283,7 @@ func (t *Table) Count(preds []Predicate) (int64, error) {
 	for _, c := range partial {
 		total += c
 	}
-	return total, nil
+	return total
 }
 
 // Selectivity returns Count(preds) normalised by the table size.
@@ -241,7 +296,8 @@ func (t *Table) Selectivity(preds []Predicate) (float64, error) {
 }
 
 // MatchingRows returns the indexes of all rows satisfying the conjunction,
-// in ascending order.
+// in ascending order. It always scans: the value orders list a conjunct's
+// rows by value, not by row.
 func (t *Table) MatchingRows(preds []Predicate) ([]int, error) {
 	c, err := t.compile(preds)
 	if err != nil || c.empty {

@@ -69,11 +69,16 @@ func (c *Column) DomainWidth() int64 {
 	return c.Max - c.Min + 1
 }
 
-// Table is an immutable in-memory relation.
+// Table is an immutable in-memory relation: once built, its column values
+// must not change. Count keeps a value order per column, built on first use,
+// which a later write to Values would leave stale; derive a changed table
+// from a copy of the values instead (SelectRows, internal/scenario).
 type Table struct {
 	Name   string
 	Cols   []*Column
 	byName map[string]int
+	// orders[i] is column i's value order (see order.go).
+	orders []valueOrder
 }
 
 // NewTable assembles a table from columns, validating that all columns have
@@ -94,7 +99,7 @@ func NewTable(name string, cols []*Column) (*Table, error) {
 		}
 		byName[c.Name] = i
 	}
-	return &Table{Name: name, Cols: cols, byName: byName}, nil
+	return &Table{Name: name, Cols: cols, byName: byName, orders: make([]valueOrder, len(cols))}, nil
 }
 
 // MustNewTable is NewTable that panics on error; intended for generators

@@ -319,13 +319,28 @@ func (s *Supervisor) registerMetrics(reg *obs.Registry) {
 // samples dropped). Alloc-free once the window is warm. Call it from the
 // serving path for every query whose ground truth is known.
 func (s *Supervisor) Record(q workload.Query, trueSel float64) {
-	if math.IsNaN(trueSel) || math.IsInf(trueSel, 0) {
+	if !isFinite(trueSel) {
 		return
 	}
-	est, ok := s.baseEstimate(q)
-	if !ok {
-		return
+	if est, ok := s.baseEstimate(q); ok {
+		s.add(est, trueSel)
 	}
+}
+
+// RecordBase is Record for a caller that already holds the frozen base
+// model's estimate of the query, baseEst, and so need not run the model
+// again. A non-finite baseEst or trueSel drops the sample, as Record does.
+func (s *Supervisor) RecordBase(baseEst, trueSel float64) {
+	if isFinite(baseEst) && isFinite(trueSel) {
+		s.add(baseEst, trueSel)
+	}
+}
+
+// Base returns the frozen model whose estimates Record takes.
+func (s *Supervisor) Base() estimator.Estimator { return s.cfg.Base }
+
+// add appends one finite sample to the rolling window.
+func (s *Supervisor) add(est, trueSel float64) {
 	s.mu.Lock()
 	if len(s.samples) < s.cfg.Window {
 		s.samples = append(s.samples, sample{est: est, truth: trueSel})

@@ -258,6 +258,27 @@ func TestRecordDropsUnusableSamples(t *testing.T) {
 	}
 }
 
+// TestRecordBaseSkipsTheModel: RecordBase stores the estimate it is given
+// without running the base model, and drops non-finite samples as Record
+// does.
+func TestRecordBaseSkipsTheModel(t *testing.T) {
+	cfg := testConfig(func(*Candidate) error { return nil })
+	cfg.Base = estimator.Func{N: "unused", F: func(workload.Query) float64 { panic("base model ran") }}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RecordBase(0.25, 0.5)
+	s.RecordBase(math.NaN(), 0.5)
+	s.RecordBase(0.25, math.Inf(1))
+	if got := s.Status().Observed; got != 1 {
+		t.Fatalf("observed %d samples, want 1", got)
+	}
+	if got := s.samples[0]; got != (sample{est: 0.25, truth: 0.5}) {
+		t.Fatalf("recorded %+v, want est 0.25 truth 0.5", got)
+	}
+}
+
 func TestRecordRingOverwrites(t *testing.T) {
 	s, err := New(testConfig(func(*Candidate) error { return nil }))
 	if err != nil {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 
 	"cardpi/internal/dataset"
@@ -37,7 +38,7 @@ func inHotDecile(c *dataset.Column, v int64) bool {
 
 func TestCloneIsIndependent(t *testing.T) {
 	orig := testTable(t, 100)
-	clone := Clone(orig)
+	clone := dataset.MustNewTable(orig.Name, columns(orig, 1, all))
 	if clone.NumRows() != orig.NumRows() {
 		t.Fatalf("clone rows %d != %d", clone.NumRows(), orig.NumRows())
 	}
@@ -58,8 +59,7 @@ func TestCloneIsIndependent(t *testing.T) {
 func TestDegradeRewritesExactFraction(t *testing.T) {
 	orig := testTable(t, 200)
 	for _, health := range []int{100, 90, 50, 0} {
-		tab := Clone(orig)
-		changed, err := Degrade(tab, health, 42)
+		tab, changed, err := Degrade(orig, health, 42)
 		if err != nil {
 			t.Fatalf("Degrade(health=%d): %v", health, err)
 		}
@@ -97,7 +97,7 @@ func TestDegradeRewritesExactFraction(t *testing.T) {
 func TestDegradeValidatesHealth(t *testing.T) {
 	tab := testTable(t, 10)
 	for _, health := range []int{-1, 101} {
-		if _, err := Degrade(tab, health, 1); err == nil {
+		if _, _, err := Degrade(tab, health, 1); err == nil {
 			t.Errorf("Degrade accepted health %d", health)
 		}
 	}
@@ -105,11 +105,12 @@ func TestDegradeValidatesHealth(t *testing.T) {
 
 func TestDegradeIsSeedDeterministic(t *testing.T) {
 	orig := testTable(t, 100)
-	a, b := Clone(orig), Clone(orig)
-	if _, err := Degrade(a, 50, 7); err != nil {
+	a, _, err := Degrade(orig, 50, 7)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Degrade(b, 50, 7); err != nil {
+	b, _, err := Degrade(orig, 50, 7)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for ci := range a.Cols {
@@ -122,8 +123,8 @@ func TestDegradeIsSeedDeterministic(t *testing.T) {
 }
 
 func TestInsertSkewedGrowsAllColumns(t *testing.T) {
-	tab := testTable(t, 100)
-	changed, err := InsertSkewed(tab, 40, 9)
+	orig := testTable(t, 100)
+	tab, changed, err := InsertSkewed(orig, 40, 9)
 	if err != nil {
 		t.Fatalf("InsertSkewed: %v", err)
 	}
@@ -140,15 +141,17 @@ func TestInsertSkewedGrowsAllColumns(t *testing.T) {
 			}
 		}
 	}
-	if _, err := InsertSkewed(tab, 0, 9); err == nil {
+	if orig.NumRows() != 100 {
+		t.Errorf("InsertSkewed grew the original table to %d rows", orig.NumRows())
+	}
+	if _, _, err := InsertSkewed(tab, 0, 9); err == nil {
 		t.Error("InsertSkewed accepted a non-positive row count")
 	}
 }
 
 func TestSkewColumnTouchesOnlyNamedColumn(t *testing.T) {
 	orig := testTable(t, 200)
-	tab := Clone(orig)
-	changed, err := SkewColumn(tab, "region", 0.5, 3)
+	tab, changed, err := SkewColumn(orig, "region", 0.5, 3)
 	if err != nil {
 		t.Fatalf("SkewColumn: %v", err)
 	}
@@ -176,12 +179,77 @@ func TestSkewColumnTouchesOnlyNamedColumn(t *testing.T) {
 
 func TestSkewColumnValidatesInput(t *testing.T) {
 	tab := testTable(t, 10)
-	if _, err := SkewColumn(tab, "no_such_column", 0.5, 1); err == nil {
+	if _, _, err := SkewColumn(tab, "no_such_column", 0.5, 1); err == nil {
 		t.Error("SkewColumn accepted an unknown column")
 	}
 	for _, frac := range []float64{-0.1, 1.1} {
-		if _, err := SkewColumn(tab, "region", frac, 1); err == nil {
+		if _, _, err := SkewColumn(tab, "region", frac, 1); err == nil {
 			t.Errorf("SkewColumn accepted frac %v", frac)
+		}
+	}
+}
+
+// rowCount is the row-at-a-time count of preds over tab.
+func rowCount(tab *dataset.Table, preds []dataset.Predicate) int64 {
+	var n int64
+rows:
+	for i := 0; i < tab.NumRows(); i++ {
+		for _, p := range preds {
+			if !p.Matches(tab.Column(p.Col).Values[i]) {
+				continue rows
+			}
+		}
+		n++
+	}
+	return n
+}
+
+// TestMutatorsLeaveCountedTableIntact: Count builds a table's value orders
+// on first use, so a mutator that wrote the counted table would leave them
+// stale. Each mutator must return a table that counts like a row scan of
+// its own values, while the original's counts do not move.
+func TestMutatorsLeaveCountedTableIntact(t *testing.T) {
+	queries := [][]dataset.Predicate{
+		{{Col: "region", Op: dataset.OpEq, Lo: 47}},
+		{{Col: "year", Op: dataset.OpRange, Lo: 90, Hi: 99}},
+		{{Col: "region", Op: dataset.OpRange, Lo: 45, Hi: 49}, {Col: "year", Op: dataset.OpRange, Lo: 0, Hi: 95}},
+		{{Col: "region", Op: dataset.OpRange, Lo: 0, Hi: 40}, {Col: "year", Op: dataset.OpRange, Lo: 5, Hi: 99}},
+	}
+	counts := func(tab *dataset.Table) []int64 {
+		t.Helper()
+		out := make([]int64, len(queries))
+		for i, q := range queries {
+			n, err := tab.Count(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := rowCount(tab, q); n != want {
+				t.Fatalf("Count(%v) = %d, row scan %d", q, n, want)
+			}
+			out[i] = n
+		}
+		return out
+	}
+	orig := testTable(t, 1000)
+	before := counts(orig)
+	for _, m := range []struct {
+		name string
+		run  func(*dataset.Table) (*dataset.Table, int, error)
+	}{
+		{"degrade", func(tab *dataset.Table) (*dataset.Table, int, error) { return Degrade(tab, 50, 1) }},
+		{"insert", func(tab *dataset.Table) (*dataset.Table, int, error) { return InsertSkewed(tab, 300, 2) }},
+		{"skew", func(tab *dataset.Table) (*dataset.Table, int, error) { return SkewColumn(tab, "region", 0.5, 3) }},
+	} {
+		mutated, changed, err := m.run(orig)
+		if err != nil || changed == 0 {
+			t.Fatalf("%s: changed %d, err %v", m.name, changed, err)
+		}
+		after := counts(mutated)
+		if slices.Equal(after, before) {
+			t.Errorf("%s: the returned table counts %v, like the original", m.name, after)
+		}
+		if got := counts(orig); !slices.Equal(got, before) {
+			t.Fatalf("%s: the original's counts moved from %v to %v", m.name, before, got)
 		}
 	}
 }
