@@ -20,7 +20,8 @@ bench:
 
 # Run the NN-core benchmarks and record them as BENCH_nn.json so future
 # changes have a perf trajectory to compare against, then the PI hot-path
-# benchmarks as BENCH_pi.json (sequential Interval vs IntervalBatch, the
+# benchmarks as BENCH_pi.json at GOMAXPROCS=1, so the batch path's sharding
+# does not hide the per-query cost (sequential Interval vs IntervalBatch, the
 # serve-shaped localized-CP kernel vs its full-sort reference, scalar
 # MSCN inference vs the training-path forward, and the /estimate reply
 # encoder vs encoding/json; the speedups block records the ratios), the
@@ -35,7 +36,8 @@ bench-json:
 	   $(GO) test -run '^$$' -bench '^BenchmarkIntervalCV$$' -benchmem ./internal/conformal/ ; \
 	   $(GO) test -run '^$$' -bench '^BenchmarkEvaluate$$' -benchmem . ; } \
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_nn.json
-	@{ $(GO) test -run '^$$' -bench '^BenchmarkInterval(Batch)?$$' -benchmem . ; \
+	@export GOMAXPROCS=1; \
+	{ $(GO) test -run '^$$' -bench '^BenchmarkInterval(Batch)?$$' -benchmem . ; \
 	   $(GO) test -run '^$$' -bench '^BenchmarkLocalDelta(Ref)?$$' -benchmem ./internal/conformal/ ; \
 	   $(GO) test -run '^$$' -bench '^BenchmarkEstimateSelectivity(Forward)?$$' -benchmem ./internal/mscn/ ; \
 	   $(GO) test -run '^$$' -bench '^BenchmarkReplyEncode(JSON)?$$' -benchmem ./cmd/cardpi/ ; } \

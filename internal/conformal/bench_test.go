@@ -141,9 +141,14 @@ func servebenchLocalized(b *testing.B) (*Localized, [][]float64) {
 // BenchmarkLocalDelta times the production neighbour kernel on one row at a
 // time (Deltas on a batch of one, the per-row work of Interval and
 // Intervals); BenchmarkLocalDeltaRef times the full-sort reference on the
-// same probes. `make bench-json` records both in BENCH_pi.json.
+// same probes. `make bench-json` records both in BENCH_pi.json, with
+// layout-bytes, the memory the selection strategy's group layout holds
+// next to the 800×44 feature block (281,600 bytes).
 func BenchmarkLocalDelta(b *testing.B) {
 	l, qs := servebenchLocalized(b)
+	if l.layout == nil {
+		b.Fatal("the servebench-shaped predictor has no group layout")
+	}
 	b.Run("servebench-shaped", func(b *testing.B) {
 		out := make([]float64, 1)
 		b.ReportAllocs()
@@ -153,6 +158,7 @@ func BenchmarkLocalDelta(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(l.layout.bytes()), "layout-bytes")
 	})
 }
 

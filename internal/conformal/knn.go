@@ -25,11 +25,12 @@ import (
 //   - a selection-only pass when K is a large fraction of n, where neither
 //     tree pruning nor early abandonment can skip much work (the serving
 //     shape: n = 800, K = 200, 44 dims). Every distance goes into a flat
-//     []float64 (four rows per pass over the row-major feature block), a
-//     radix select over the distances' bit patterns finds the K-th smallest
-//     distance t without copying them, and one index-order pass keeps the
-//     rows closer than t plus the first K − #{d < t} rows at exactly t —
-//     O(n), and no candidate is ever ordered.
+//     []float64 (through the sparse group layout, or row by row when the
+//     rows are dense), a radix select over the distances' bit patterns
+//     finds the K-th smallest distance t without permuting them, and one
+//     branch-free index-order pass keeps the rows closer than t plus the
+//     first K − #{d < t} rows at exactly t — O(n), and no candidate is
+//     ever ordered.
 //
 // Whichever strategy runs, the conformal order statistic of the K chosen
 // scores is then selected (quantileSelect), not read off a sorted copy.
@@ -153,13 +154,11 @@ func (ix *neighborIndex) build(start, end int32) int32 {
 }
 
 // search descends the tree collecting the k nearest candidates into h.
-// qTail is the squared mass of query dimensions beyond the tree's
-// dimensionality: it shifts every candidate distance by the same constant
-// (sqDist already counts it), so it enters only the pruning bound. The far
-// child is visited whenever its bound ties the current worst survivor —
-// a tied far point with a smaller calibration index must still win — which
-// keeps the selection exact under the (distance, index) order.
-func (ix *neighborIndex) search(ni int32, q []float64, qTail float64, h *knnHeap) {
+// The far child is visited whenever farBound does not exceed the current
+// worst survivor — a tied far point with a smaller calibration index must
+// still win — which keeps the selection exact under the (distance, index)
+// order.
+func (ix *neighborIndex) search(ni int32, q []float64, h *knnHeap) {
 	nd := &ix.nodes[ni]
 	if nd.axis < 0 {
 		for _, i := range ix.order[nd.start:nd.end] {
@@ -175,11 +174,26 @@ func (ix *neighborIndex) search(ni int32, q []float64, qTail float64, h *knnHeap
 	if qc > nd.split {
 		near, far = far, near
 	}
-	ix.search(near, q, qTail, h)
-	diff := qc - nd.split
-	if !h.full() || diff*diff+qTail <= h.worst() {
-		ix.search(far, q, qTail, h)
+	ix.search(near, q, h)
+	if !h.full() || ix.farBound(qc-nd.split, q) <= h.worst() {
+		ix.search(far, q, h)
 	}
+}
+
+// farBound returns a lower bound on the computed sqDist of every point
+// beyond a split at signed offset diff from the query: diff², then the
+// squares of the query's dimensions past the tree's, added one by one as
+// sqDist adds them. Rounded addition of non-negative terms is monotone, so
+// a point's sum, which adds at least diff² on the split axis and then
+// those same tail terms, never comes out below it. (Adding the tail as one
+// presummed constant is not a bound: the sum rounds differently and can
+// exceed an exactly tied distance.)
+func (ix *neighborIndex) farBound(diff float64, q []float64) float64 {
+	b := float64(diff * diff)
+	for _, x := range q[min(ix.dim, len(q)):] {
+		b += float64(x * x)
+	}
+	return b
 }
 
 // knnHeap is a bounded max-heap of the k best candidates seen so far under
@@ -269,19 +283,19 @@ func sqDistWithin(a, b []float64, bound float64) (float64, bool) {
 	var s float64
 	for i := 0; i < n; i++ {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 		if s > bound {
 			return 0, false
 		}
 	}
 	for i := n; i < len(a); i++ {
-		s += a[i] * a[i]
+		s += float64(a[i] * a[i])
 		if s > bound {
 			return 0, false
 		}
 	}
 	for i := n; i < len(b); i++ {
-		s += b[i] * b[i]
+		s += float64(b[i] * b[i])
 		if s > bound {
 			return 0, false
 		}

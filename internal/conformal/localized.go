@@ -3,6 +3,7 @@ package conformal
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -28,16 +29,19 @@ type Localized struct {
 
 	score Score
 	// feats are the calibration feature rows. When every row has the same
-	// width dim they are views into one row-major n×dim block, which the
-	// selection strategy's distance pass walks four rows at a time; rows of
-	// mixed width keep their own storage and dim is -1.
+	// width they are views into one row-major n×dim block; rows of mixed
+	// width keep their own storage.
 	feats  [][]float64
-	dim    int
 	scores []float64
 	// index is the prebuilt neighbour-search structure the batch path uses
 	// (built at calibration and rehydration time); nil is tolerated — the
 	// batch path then uses its scan strategies over feats directly.
 	index *neighborIndex
+	// layout is the selection strategy's sparse group-major view of the
+	// block, built only when that strategy can run (uniform width, 8K > n)
+	// and the rows are sparse enough (see buildGroupLayout); without it the
+	// strategy computes sqDist row by row.
+	layout *groupLayout
 }
 
 // CalibrateLocalized stores the calibration points' features and scores.
@@ -70,12 +74,13 @@ func CalibrateLocalized(feats [][]float64, preds, truths []float64, score Score,
 // setFeatures installs the calibration features: uniform-width rows are
 // copied into one row-major block and feats become views into it, so the
 // predictor holds a single copy; rows of mixed width are kept as given.
-// The neighbour index is rebuilt over the installed rows.
+// The neighbour index is rebuilt over the installed rows, and the group
+// layout over the block when K selects the selection strategy.
 func (l *Localized) setFeatures(feats [][]float64) {
 	dim := len(feats[0])
 	for _, f := range feats {
 		if len(f) != dim {
-			l.feats, l.dim = feats, -1
+			l.feats, l.layout = feats, nil
 			l.index = buildNeighborIndex(feats)
 			return
 		}
@@ -87,8 +92,12 @@ func (l *Localized) setFeatures(feats [][]float64) {
 		copy(row, f)
 		rows[i] = row
 	}
-	l.feats, l.dim = rows, dim
+	l.feats = rows
 	l.index = buildNeighborIndex(rows)
+	l.layout = nil
+	if 8*l.K > len(rows) {
+		l.layout = buildGroupLayout(block, len(rows), dim)
+	}
 }
 
 // Interval computes the locally calibrated interval for a query with the
@@ -206,16 +215,12 @@ func (l *Localized) localDelta(feat []float64, s *knnScratch) (float64, error) {
 		return 0, fmt.Errorf("conformal: neighbourhood size %d outside [1, %d]", k, n)
 	}
 	s.local = s.local[:0]
-	switch {
-	case l.index != nil && l.index.nodes != nil && finiteVec(feat):
+	switch l.strategy(feat) {
+	case strategyTree:
 		s.heap.reset(k)
-		var qTail float64
-		for i := l.index.dim; i < len(feat); i++ {
-			qTail += feat[i] * feat[i]
-		}
-		l.index.search(l.index.root, feat, qTail, &s.heap)
+		l.index.search(l.index.root, feat, &s.heap)
 		s.local = l.appendHeapScores(s.local, &s.heap)
-	case 8*k <= n:
+	case strategyHeap:
 		s.heap.reset(k)
 		scanKNN(l.feats, feat, &s.heap)
 		s.local = l.appendHeapScores(s.local, &s.heap)
@@ -223,6 +228,27 @@ func (l *Localized) localDelta(feat []float64, s *knnScratch) (float64, error) {
 		s.local = l.appendNearestScores(s.local, feat, s)
 	}
 	return quantileSelect(s.local, l.Alpha), nil
+}
+
+// The neighbour strategies localDelta picks between (see knn.go).
+const (
+	strategyTree = iota
+	strategyHeap
+	strategySelect
+)
+
+// strategy returns the strategy localDelta takes for a query: the k-d tree
+// when one is built and the query is finite, the bounded-heap scan when K
+// is small against n, and the selection pass otherwise.
+func (l *Localized) strategy(feat []float64) int {
+	switch {
+	case l.index != nil && l.index.nodes != nil && finiteVec(feat):
+		return strategyTree
+	case 8*l.K <= len(l.feats):
+		return strategyHeap
+	default:
+		return strategySelect
+	}
 }
 
 // appendHeapScores appends the scores of the heap's K survivors to dst.
@@ -236,85 +262,87 @@ func (l *Localized) appendHeapScores(dst []float64, h *knnHeap) []float64 {
 // appendNearestScores appends the scores of the K nearest calibration rows
 // to dst without ordering any candidates: it selects the K-th smallest
 // distance t (kthDist, which also counts the distances below t), then
-// keeps, in index order, every row closer than t and the first K − #{d < t}
-// rows at exactly t — the set the (distance, index) order puts first.
-// sqDist never returns NaN, so < is a total preorder on the distances.
+// keeps every row closer than t and the first K − #{d < t} rows at exactly
+// t in index order — the set the (distance, index) order puts first.
+// sqDist never returns NaN, so < is a total preorder on the distances. The
+// keep pass is branch-free and compares bit patterns, as kthDist does:
+// every row's score is written at the next free slot, which only a kept
+// row claims, and a row is kept while its pattern is below t's — or at
+// t's, while fewer than K − #{d < t} rows at t have come before it.
 func (l *Localized) appendNearestScores(dst, feat []float64, s *knnScratch) []float64 {
 	s.dist = l.appendDistances(s.dist[:0], feat)
 	t, less := kthDist(s.dist, l.K-1)
-	ties := l.K - less
+	ties, tb := l.K-less, absBits(t)
+	start := len(dst)
+	dst = slices.Grow(dst, l.K+1)[:start+l.K+1]
+	out := dst[start:]
+	scores := l.scores[:len(s.dist)]
+	m, seen := 0, 0
 	for i, d := range s.dist {
-		switch {
-		case d < t:
-			dst = append(dst, l.scores[i])
-		case d == t && ties > 0:
-			dst = append(dst, l.scores[i])
-			ties--
-		}
+		b := absBits(d)
+		out[m] = scores[i]
+		m += b2i(b < tb+uint64(b2i(seen < ties)))
+		seen += b2i(b == tb)
 	}
-	return dst
+	return dst[:start+m]
+}
+
+// b2i converts a bool to 0 or 1 without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // appendDistances appends sqDist(feats[i], q) for every calibration row to
-// dst. When every row has q's width it computes four rows per pass over q:
-// each row keeps its own accumulator and adds its terms in sqDist's
-// dimension order, so every distance is bit-identical to sqDist's while q's
-// coordinates are loaded once per four rows (and the rows, views into one
-// row-major block, are read contiguously).
+// dst: through the group layout when there is one and q has its width, row
+// by row otherwise.
 func (l *Localized) appendDistances(dst, q []float64) []float64 {
-	if len(q) != l.dim {
-		for _, f := range l.feats {
-			dst = append(dst, sqDist(f, q))
-		}
-		return dst
+	if l.layout != nil && len(q) == l.layout.dim {
+		return l.layout.appendDistances(dst, q)
 	}
-	n := len(l.feats)
-	start := len(dst)
-	dst = slices.Grow(dst, n)[:start+n]
-	out := dst[start:][:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		r0 := l.feats[i][:len(q)]
-		r1 := l.feats[i+1][:len(q)]
-		r2 := l.feats[i+2][:len(q)]
-		r3 := l.feats[i+3][:len(q)]
-		var s0, s1, s2, s3 float64
-		for j, x := range q {
-			d0 := r0[j] - x
-			d1 := r1[j] - x
-			d2 := r2[j] - x
-			d3 := r3[j] - x
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
-		}
-		o := out[i : i+4]
-		o[0], o[1], o[2], o[3] = nanToInf(s0), nanToInf(s1), nanToInf(s2), nanToInf(s3)
-	}
-	for ; i < n; i++ {
-		out[i] = sqDist(l.feats[i], q)
+	for _, f := range l.feats {
+		dst = append(dst, sqDist(f, q))
 	}
 	return dst
 }
 
 // kthDist returns the r-th smallest (0-based) of dist and how many of its
-// values are strictly smaller, reading dist without copying or permuting
-// it. Every distance lies in [+0, +Inf] (sqDist maps NaN to +Inf and never
-// yields −0), and non-negative IEEE-754 doubles order exactly like their bit
-// patterns as unsigned integers, so this is a radix select on the patterns,
-// most significant byte first: each pass counts the next byte among the
-// values that share the bytes fixed so far and fixes the byte whose bucket
-// holds rank r. It stops once that bucket holds one value, or after the
-// last byte, when the bucket's values are all equal.
+// values are strictly smaller, reading dist without permuting it. Every
+// distance lies in [+0, +Inf] (sqDist maps NaN to +Inf), and non-negative
+// IEEE-754 doubles order exactly like their bit patterns as unsigned
+// integers, so this is a radix select on the patterns of |d| (a −0 counts
+// as the +0 it equals; sqDist never yields one).
+//
+// Each pass splits a pattern range [lo, hi] into at most 256 equal digit
+// ranges, counts the bucket's values in each — values below lo or above the
+// last range clamped into the end ranges — and keeps the range that holds
+// rank r as the next bucket. The first pass splits the range of a strided
+// sample of dist, so no pass is spent finding the exact bounds; later
+// passes split the bucket's exact smallest and largest pattern, and stop
+// as soon as those are equal: every value left is then equal, so a tied
+// K-th distance ends the select there instead of after all 64 bits.
+// Splitting a range, not a byte of the pattern, spreads the values over
+// the counters even where their bits share little prefix (distances on
+// both sides of a power of two). A bucket of at most kthBufLen values is
+// gathered into a stack buffer and finished there (kthBits), so later
+// passes read only the bucket.
 func kthDist(dist []float64, r int) (t float64, less int) {
 	var cnt [256]int32
-	var prefix, mask uint64
-	for shift := 56; ; shift -= 8 {
+	// The bucket holds the patterns p with p-base <= span.
+	base, span := uint64(0), ^uint64(0)
+	lo, hi := ^uint64(0), uint64(0)
+	for i := 0; i < len(dist); i += max(len(dist)/kthSample, 1) {
+		b := absBits(dist[i])
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	for {
+		shift := max(bits.Len64(hi-lo)-8, 0)
 		cnt = [256]int32{}
 		for _, d := range dist {
-			if b := math.Float64bits(d); b&mask == prefix {
-				cnt[b>>shift&0xff]++
+			if b := absBits(d); b-base <= span {
+				cnt[digit(b, lo, shift)]++
 			}
 		}
 		k := 0
@@ -323,18 +351,86 @@ func kthDist(dist []float64, r int) (t float64, less int) {
 			less += int(cnt[k])
 			k++
 		}
-		prefix |= uint64(k) << shift
-		mask |= 0xff << shift
-		if shift == 0 {
-			return math.Float64frombits(prefix), less
+		first, last := lo+uint64(k)<<shift, lo+uint64(k+1)<<shift-1
+		if k == 0 {
+			first = 0
 		}
-		if cnt[k] == 1 {
+		if k == 255 {
+			last = ^uint64(0)
+		}
+		first, last = max(first, base), min(last, base+span)
+		base, span = first, last-first
+		if c := int(cnt[k]); c <= kthBufLen {
+			var buf [kthBufLen + 1]uint64
+			m := 0
 			for _, d := range dist {
-				if math.Float64bits(d)&mask == prefix {
-					return d, less
-				}
+				b := absBits(d)
+				buf[m] = b
+				m += b2i(b-base <= span)
+			}
+			return kthBits(buf[:c], r, less)
+		}
+		lo, hi = ^uint64(0), uint64(0)
+		for _, d := range dist {
+			if b := absBits(d); b-base <= span {
+				lo, hi = min(lo, b), max(hi, b)
 			}
 		}
+		if lo == hi {
+			return math.Float64frombits(lo), less
+		}
+	}
+}
+
+// kthSample is how many strided values kthDist's first pass takes its
+// range from.
+const kthSample = 32
+
+// digit returns the counter of pattern b in a pass splitting [lo, …) into
+// ranges of 1<<shift patterns: patterns below lo count in the first range,
+// and patterns past the 256th range in the last.
+func digit(b, lo uint64, shift int) uint8 {
+	// Patterns are below 1<<63, so b-lo as an int64 is negative exactly
+	// when b < lo.
+	return uint8(min(uint64(max(int64(b-lo), 0))>>shift, 255))
+}
+
+// absBits returns the bit pattern of |d|.
+func absBits(d float64) uint64 { return math.Float64bits(d) &^ (1 << 63) }
+
+// kthBufLen is the largest bucket kthDist gathers for kthBits.
+const kthBufLen = 256
+
+// kthBits finishes kthDist's select on a gathered bucket v of patterns,
+// compacting it in place pass by pass: it returns the r-th smallest of v
+// as a float64 and less plus the count of values below it.
+func kthBits(v []uint64, r, less int) (float64, int) {
+	var cnt [256]int32
+	for {
+		lo, hi := ^uint64(0), uint64(0)
+		for _, b := range v {
+			lo, hi = min(lo, b), max(hi, b)
+		}
+		if lo == hi {
+			return math.Float64frombits(lo), less
+		}
+		shift := max(bits.Len64(hi-lo)-8, 0)
+		cnt = [256]int32{}
+		for _, b := range v {
+			cnt[uint8((b-lo)>>shift)]++
+		}
+		k := 0
+		for r >= int(cnt[k]) {
+			r -= int(cnt[k])
+			less += int(cnt[k])
+			k++
+		}
+		m := 0
+		for _, b := range v {
+			v[m] = b
+			m += b2i((b-lo)>>shift == uint64(k))
+		}
+		v = v[:m]
 	}
 }
 
@@ -347,6 +443,10 @@ func nanToInf(s float64) float64 {
 	return s
 }
 
+// sqDist is the squared Euclidean distance every neighbour strategy and
+// the reference sort share. Each squared term is rounded on its own
+// (float64(d*d)) before it is added, so no platform fuses the add into a
+// multiply-add; the group layout adds precomputed terms and relies on it.
 func sqDist(a, b []float64) float64 {
 	n := len(a)
 	if len(b) < n {
@@ -355,14 +455,14 @@ func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := 0; i < n; i++ {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	// Dimensions present in only one vector count fully.
 	for i := n; i < len(a); i++ {
-		s += a[i] * a[i]
+		s += float64(a[i] * a[i])
 	}
 	for i := n; i < len(b); i++ {
-		s += b[i] * b[i]
+		s += float64(b[i] * b[i])
 	}
 	return nanToInf(s)
 }

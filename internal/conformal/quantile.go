@@ -62,15 +62,22 @@ func conformalRank(n int, alpha float64) int {
 // statistic under sort.Float64s' order (NaN before every number) in
 // expected O(n). It permutes scores. Values that compare equal but differ
 // in bits (−0 and +0, NaN payloads) may come back as any one of them, as
-// they may from the sort.
+// they may from the sort. Scores that are all NaN-free with a clear sign
+// bit — what every Score here yields on finite predictions — take kthDist's
+// radix select instead, where equal values have equal bits.
 func quantileSelect(scores []float64, alpha float64) float64 {
 	r := conformalRank(len(scores), alpha)
-	nans := 0
+	nans, signs := 0, uint64(0)
 	for i, v := range scores {
+		signs |= math.Float64bits(v)
 		if v != v {
 			scores[i], scores[nans] = scores[nans], v
 			nans++
 		}
+	}
+	if nans == 0 && signs>>63 == 0 {
+		t, _ := kthDist(scores, r)
+		return t
 	}
 	if r < nans {
 		return scores[r]

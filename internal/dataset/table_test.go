@@ -354,8 +354,10 @@ func TestCountParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both runs are broad (state 1..49 holds about 46k of the 66.5k rows),
+	// so Count scans instead of refining the narrowest run.
 	preds := []Predicate{
-		{Col: "state", Op: OpEq, Lo: 2},
+		{Col: "state", Op: OpRange, Lo: 1, Hi: 49},
 		{Col: "model_year", Op: OpRange, Lo: 30, Hi: 100},
 	}
 	got, err := tab.Count(preds)
