@@ -29,8 +29,9 @@ bench:
 # matrix as BENCH_batch_mt.json, the exact count oracle (Table.Count
 # against the column scan and the row-at-a-time reference, and the build of
 # its per-column value orders) as BENCH_count.json, and the query
-# parser (ParseQuery against its reference lexer and merge) as
-# BENCH_parse.json.
+# parser (ParseQuery against its reference lexer and merge), the cache
+# key of a parsed row, and a warm hit answered from its canonical text
+# against the parse-then-probe path as BENCH_parse.json.
 bench-json:
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkFit$$' -benchmem ./internal/nn/ ; \
 	   $(GO) test -run '^$$' -bench '^BenchmarkIntervalCV$$' -benchmem ./internal/conformal/ ; \
@@ -46,7 +47,9 @@ bench-json:
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_batch_mt.json
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkCount(Scan|RowScan|IndexBuild)?$$' -benchmem ./internal/dataset/ ; } \
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_count.json
-	@{ $(GO) test -run '^$$' -bench '^BenchmarkParseQuery(Ref)?$$' -benchmem ./internal/workload/ ; } \
+	@{ $(GO) test -run '^$$' -bench '^BenchmarkParseQuery(Ref)?$$' -benchmem ./internal/workload/ ; \
+	   $(GO) test -run '^$$' -bench '^BenchmarkKeyOf$$' -benchmem ./internal/cache/ ; \
+	   $(GO) test -run '^$$' -bench '^BenchmarkServeHitRow$$' -benchmem ./cmd/cardpi/ ; } \
 	  | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_parse.json
 
 # Record the serving-layer interval-cache speedup as BENCH_serve.json:

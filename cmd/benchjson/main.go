@@ -7,9 +7,10 @@
 // BENCH_batch_mt.json, the count oracle (BenchmarkCount against
 // BenchmarkCountScan and BenchmarkCountRowScan, plus the value-order build)
 // into BENCH_count.json, and the query parser
-// (BenchmarkParseQuery against BenchmarkParseQueryRef) into
-// BENCH_parse.json, giving future changes a perf trajectory to compare
-// against.
+// (BenchmarkParseQuery against BenchmarkParseQueryRef), the cache key
+// (BenchmarkKeyOf) and the warm hit row (BenchmarkServeHitRow, text probe
+// against parse-then-probe) into BENCH_parse.json, giving future changes a
+// perf trajectory to compare against.
 package main
 
 import (
@@ -197,6 +198,9 @@ func speedups(bs []Benchmark) map[string]float64 {
 	for _, w := range []string{"servebench-shaped", "header-form", "join"} {
 		ratio("parse_"+w+"_vs_ref", "BenchmarkParseQueryRef/"+w, "BenchmarkParseQuery/"+w)
 	}
+	// A warm cache hit answered from the row's canonical text against the
+	// same hit parsed, keyed and probed (BENCH_parse.json).
+	ratio("hit_text_vs_parse", "BenchmarkServeHitRow/parse", "BenchmarkServeHitRow/text")
 	// Multi-core scaling of the sharded row-block kernels
 	// (BENCH_batch_mt.json): W=k vs W=1 on the same batch shape. The W
 	// dimension is discovered from the result names, so a box whose NumCPU

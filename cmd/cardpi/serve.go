@@ -602,9 +602,10 @@ type serveScratch struct {
 	wire    []codec.WireResult // binary response frames
 	depths  []int              // per-query chain depths
 
-	// Request-core state (see servingUnit.estimate).
+	// Request-core state (see readQueries and servingUnit.estimate).
 	cres    []cache.Result   // per-query cached/computed cores
 	cached  []bool           // per-query: served without running the chain
+	hitKeys []cache.Key      // keys of the rows the text probe answered
 	flights []*cache.Flight  // per-query claimed flight (nil: hit or cache off)
 	lead    []int            // rows this request computes, in batch order
 	leadQs  []workload.Query // their queries, when not the whole batch
@@ -712,6 +713,7 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 			depths:  make([]int, 0, maxBatchCap),
 			cres:    make([]cache.Result, 0, maxBatchCap),
 			cached:  make([]bool, 0, maxBatchCap),
+			hitKeys: make([]cache.Key, 0, maxBatchCap),
 			flights: make([]*cache.Flight, 0, maxBatchCap),
 			lead:    make([]int, 0, maxBatchCap),
 			leadQs:  make([]workload.Query, 0, maxBatchCap),
@@ -983,9 +985,9 @@ func (s *server) serveEstimate(w http.ResponseWriter, r *http.Request, batch boo
 		return
 	}
 	// The epoch snapshot precedes the one resolution of the table and chain
-	// that every row is parsed, computed and rendered against: results
-	// stored under this epoch were computed against state resolved after
-	// it, so swap-then-bump can never leave stale entries reachable
+	// that every row is probed or parsed, computed and rendered against:
+	// results stored under this epoch were computed against state resolved
+	// after it, so swap-then-bump can never leave stale entries reachable
 	// (DESIGN.md "Epoch invalidation").
 	var epoch uint64
 	if u.cache != nil {
@@ -994,7 +996,7 @@ func (s *server) serveEstimate(w http.ResponseWriter, r *http.Request, batch boo
 	tab, ch := u.table(), u.current()
 	sc := s.scratch.Get().(*serveScratch)
 	defer s.scratch.Put(sc)
-	lines, binary, bad := s.readQueries(r, values, sc, tab, batch)
+	lines, binary, bad := s.readQueries(r, values, sc, tab, u.cache, batch)
 	if bad != nil {
 		ep.bad.Inc()
 		httpError(w, http.StatusBadRequest, bad.code, "%s", bad.msg)
@@ -1078,9 +1080,18 @@ func reject(code, format string, args ...any) *badRequest {
 
 // readQueries reads the request's query lines — /estimate's q parameter as
 // a batch of one, or /estimate/batch's JSON or binary body, the latter
-// decoded zero-copy into pooled buffers — then validates and parses each
-// against tab into sc.qs.
-func (s *server) readQueries(r *http.Request, values url.Values, sc *serveScratch, tab *dataset.Table, batch bool) (lines []string, binary bool, bad *badRequest) {
+// decoded zero-copy into pooled buffers — then validates each row and
+// either answers it from c or parses it against tab.
+//
+// With a cache, a row first probes c by cache.KeyOfText: a line byte-equal
+// to a cached query's canonical text is a live hit, answered into sc.cres
+// and sc.cached with no parse, no predicate slice and no KeyOf (its sc.qs
+// slot stays the zero Query). Every other row is parsed into sc.qs, and
+// servingUnit.estimate probes it by KeyOf, so other spellings still share
+// one entry. The text probe counts nothing: the hits are counted (and
+// their recency stamped) only once every row has validated, so a rejected
+// request touches no cache counter and no entry.
+func (s *server) readQueries(r *http.Request, values url.Values, sc *serveScratch, tab *dataset.Table, c *cache.Cache, batch bool) (lines []string, binary bool, bad *badRequest) {
 	binary = batch && strings.HasPrefix(r.Header.Get("Content-Type"), codec.WireContentType)
 	switch {
 	case !batch:
@@ -1121,13 +1132,24 @@ func (s *server) readQueries(r *http.Request, values url.Values, sc *serveScratc
 		}
 		return "query parameter q"
 	}
-	sc.qs = sc.qs[:0]
+	sc.qs, sc.cres, sc.cached = sc.qs[:0], sc.cres[:0], sc.cached[:0]
+	sc.hitKeys = sc.hitKeys[:0]
 	for i, line := range lines {
 		if line == "" {
 			return nil, false, reject("empty_query", "%s is empty", name(i))
 		}
 		if len(line) > maxQueryBytes {
 			return nil, false, reject("query_too_long", "%s exceeds %d bytes", name(i), maxQueryBytes)
+		}
+		if c != nil {
+			k := cache.KeyOfText(line)
+			if res, ok := c.Peek(k); ok {
+				sc.qs = append(sc.qs, workload.Query{})
+				sc.cres = append(sc.cres, res)
+				sc.cached = append(sc.cached, true)
+				sc.hitKeys = append(sc.hitKeys, k)
+				continue
+			}
 		}
 		q, err := workload.ParseQuery(tab, line)
 		if err != nil {
@@ -1137,16 +1159,23 @@ func (s *server) readQueries(r *http.Request, values url.Values, sc *serveScratc
 			return nil, false, reject("parse_error", "parse %q: %v", line, err)
 		}
 		sc.qs = append(sc.qs, q)
+		sc.cres = append(sc.cres, cache.Result{})
+		sc.cached = append(sc.cached, false)
+	}
+	if len(sc.hitKeys) > 0 {
+		c.Touch(sc.hitKeys)
 	}
 	return lines, binary, nil
 }
 
 // estimate is the request core behind /estimate (a batch of one) and
-// /estimate/batch. It answers sc.qs into sc.results and sc.depths against
-// the table and chain the caller resolved after snapshotting epoch:
+// /estimate/batch. It answers the rows readQueries left unanswered into
+// sc.results and sc.depths against the table and chain the caller resolved
+// after snapshotting epoch:
 //
-//  1. Probe: every row is looked up in the unit's cache; a hit replays the
-//     stored core result.
+//  1. Probe: every parsed row is looked up in the unit's cache by KeyOf; a
+//     hit replays the stored core result. Rows the text probe already
+//     answered (sc.cached set by readQueries) are skipped.
 //  2. Claim: every miss claims its (key, epoch) flight. As leader, this
 //     request computes the row; as follower, it reuses the leader's result —
 //     whether another request or an earlier row of this batch leads it.
@@ -1161,14 +1190,14 @@ func (s *server) readQueries(r *http.Request, values url.Values, sc *serveScratc
 //
 // With the cache off every row is a leader and no flight is claimed.
 func (u *servingUnit) estimate(ctx context.Context, epoch uint64, tab *dataset.Table, ch *servingChain, lines []string, sc *serveScratch, bundle string, degraded bool) {
-	sc.cres, sc.depths = sc.cres[:0], sc.depths[:0]
-	sc.cached, sc.flights = sc.cached[:0], sc.flights[:0]
+	sc.depths, sc.flights = sc.depths[:0], sc.flights[:0]
 	sc.lead = sc.lead[:0]
 	for i, q := range sc.qs {
-		sc.cres = append(sc.cres, cache.Result{})
 		sc.depths = append(sc.depths, 0)
-		sc.cached = append(sc.cached, false)
 		sc.flights = append(sc.flights, nil)
+		if sc.cached[i] {
+			continue
+		}
 		if u.cache == nil {
 			sc.lead = append(sc.lead, i)
 			continue

@@ -406,6 +406,85 @@ func TestServeCacheLookupAllocs(t *testing.T) {
 	}
 }
 
+// TestServeCacheTextProbeRejectedBatch: the text probe answers a warm row
+// before later rows are validated, yet a batch that fails validation still
+// touches no cache counter and no entry. Row 3 misses (and is parsed), row 4
+// hits the text probe, row 5 fails to parse: the reply is a 400, the hit,
+// miss and size counters are unchanged, and no entry appears. The same
+// batch without its bad row then counts exactly one hit or miss per row.
+func TestServeCacheTextProbeRejectedBatch(t *testing.T) {
+	ts, srv, reg := startServer(t, smallSetup(t), serveOpts{cacheEntries: 1024})
+	pq, err := workload.ParseQuery(srv.def.table(), "state = 3 AND county = 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := workload.QueryText(workload.Canonicalize(pq))
+	if st, _, body := getEstimate(t, ts.URL, warm, "", ""); st != http.StatusOK {
+		t.Fatalf("warm-up status %d (%s)", st, body)
+	}
+	if _, ok := srv.def.cache.Peek(cache.KeyOfText(warm)); !ok {
+		t.Fatalf("warm-up did not make %q a text-probe hit", warm)
+	}
+	counters := func() [3]float64 {
+		return [3]float64{
+			metricValue(t, reg, `cardpi_cache_hits_total{unit="default"}`),
+			metricValue(t, reg, `cardpi_cache_misses_total{unit="default"}`),
+			metricValue(t, reg, `cardpi_cache_size{unit="default"}`),
+		}
+	}
+	before, lenBefore := counters(), srv.def.cache.Len()
+	rows := []string{"state = 1", "state = 2", "county = 4", "fuel_type = 1 AND color = 4", warm, "ghost = 1"}
+	resp := postBatch(t, ts, rows)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "query 5") {
+		t.Fatalf("batch with a bad row 5: status %d body %s, want a 400 naming query 5", resp.StatusCode, body)
+	}
+	if after := counters(); after != before {
+		t.Fatalf("rejected batch moved the cache counters (hits, misses, size): %v -> %v", before, after)
+	}
+	if n := srv.def.cache.Len(); n != lenBefore {
+		t.Fatalf("rejected batch changed the cache population: %d -> %d entries", lenBefore, n)
+	}
+
+	// Accepted, the same rows count one hit (the text-probed row) and one
+	// miss per cold row.
+	resp = postBatch(t, ts, rows[:5])
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid batch: status %d body %s", resp.StatusCode, body)
+	}
+	after := counters()
+	if hits, misses := after[0]-before[0], after[1]-before[1]; hits != 1 || misses != 4 {
+		t.Fatalf("valid 5-row batch counted %v hits + %v misses, want 1 + 4", hits, misses)
+	}
+}
+
+// TestServeCacheTextProbeAllocs pins the hit path that skips the parser: a
+// warm canonical line's KeyOfText plus its probe, and the post-validation
+// Touch, allocate nothing.
+func TestServeCacheTextProbeAllocs(t *testing.T) {
+	ts, srv, _ := startServer(t, smallSetup(t), serveOpts{cacheEntries: 1024})
+	const line = "county = 10 AND state = 3"
+	if st, _, body := getEstimate(t, ts.URL, line, "", ""); st != http.StatusOK {
+		t.Fatalf("warm-up status %d (%s)", st, body)
+	}
+	c := srv.def.cache
+	keys := make([]cache.Key, 0, 1)
+	allocs := testing.AllocsPerRun(200, func() {
+		k := cache.KeyOfText(line)
+		if _, ok := c.Peek(k); !ok {
+			panic("canonical line missed the text probe")
+		}
+		keys = append(keys[:0], k)
+		c.Touch(keys)
+	})
+	if allocs != 0 {
+		t.Fatalf("text key+probe allocates %v times per run; want 0", allocs)
+	}
+}
+
 // metricSum totals every series of one metric family, whatever its labels.
 func metricSum(t *testing.T, reg *obs.Registry, family string) float64 {
 	t.Helper()

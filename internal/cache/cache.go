@@ -4,9 +4,12 @@
 //
 // Design (see DESIGN.md "Serving-layer interval cache"):
 //
-//   - Identity is the 128-bit canonical query hash (KeyOf): predicate order
-//     and equivalent range forms are normalized before hashing, so
-//     semantically identical queries share one entry.
+//   - Identity is the 128-bit hash of a query's canonical text (KeyOf):
+//     predicate order and equivalent range forms are normalized and the
+//     result rendered before hashing, so semantically identical queries
+//     share one entry. KeyOfText hashes a raw line with the same framing,
+//     so a line already spelled canonically is probed (Peek) before it is
+//     parsed; other spellings are parsed and probed by KeyOf.
 //   - Storage is set-associative: power-of-two shards (picked from the low
 //     key bits), each a flat []entry array of N-way sets (picked from the
 //     high key bits) under one mutex. The entry array holds no pointers,
@@ -21,9 +24,9 @@
 //     results whose computation started before the bump, so a swap can
 //     never be papered over by an in-flight fill.
 //
-// All methods are safe for concurrent use. Get is allocation-free; the
-// zero-alloc serve-path guarantee is enforced by AllocsPerRun tests here
-// and in cmd/cardpi.
+// All methods are safe for concurrent use. Get, Peek and Touch are
+// allocation-free; the zero-alloc serve-path guarantee is enforced by
+// AllocsPerRun tests here and in cmd/cardpi.
 package cache
 
 import (
@@ -55,9 +58,10 @@ func (e *Epoch) Bump() uint64 { return e.v.Add(1) }
 
 // Result is one cached answer: everything deterministic that the serve
 // path computes for a query under a fixed chain and table. Ground truth is
-// included because the serving demo owns the oracle (a full table scan —
-// the dominant per-request cost, and exactly what a hot cache must avoid);
-// live telemetry (drift flag, rolling coverage) is never cached.
+// included because the serving demo owns the oracle (an exact count over
+// the table's per-column value orders, which a hit skips along with the
+// model and the interval); live telemetry (drift flag, rolling coverage)
+// is never cached.
 type Result struct {
 	// Est is the point estimate in normalized selectivity units; -1 is the
 	// sentinel for an unavailable estimate (matching the serve path).
@@ -250,6 +254,50 @@ func (c *Cache) Get(k Key) (Result, bool) {
 	sh.mu.Unlock()
 	c.m.Misses.Inc()
 	return Result{}, false
+}
+
+// Peek returns the live entry for k, if any, without side effects: no
+// counter moves, no recency stamp, and a stale-epoch entry is left for Get
+// to reclaim. Allocation-free. It lets a caller probe rows of a request
+// that may still be rejected; once the request is accepted, Touch records
+// the rows it answered from Peek.
+func (c *Cache) Peek(k Key) (Result, bool) {
+	cur := c.epoch.Load()
+	sh := &c.shards[k.Lo&c.shardMask]
+	base := (k.Hi & c.setMask) * ways
+	sh.mu.Lock()
+	for i := base; i < base+ways; i++ {
+		e := &sh.entries[i]
+		if e.used && e.key == k && e.epoch == cur {
+			res := e.res
+			sh.mu.Unlock()
+			return res, true
+		}
+	}
+	sh.mu.Unlock()
+	return Result{}, false
+}
+
+// Touch records rows answered from Peek as hits: it counts len(ks) hits and
+// stamps the recency of every entry still holding its key, as Get would
+// have. Allocation-free. An entry evicted since its Peek is not restored;
+// the row was still answered from the cache, so it still counts.
+func (c *Cache) Touch(ks []Key) {
+	for _, k := range ks {
+		sh := &c.shards[k.Lo&c.shardMask]
+		base := (k.Hi & c.setMask) * ways
+		sh.mu.Lock()
+		for i := base; i < base+ways; i++ {
+			e := &sh.entries[i]
+			if e.used && e.key == k {
+				sh.tick++
+				e.tick = sh.tick
+				break
+			}
+		}
+		sh.mu.Unlock()
+	}
+	c.m.Hits.Add(uint64(len(ks)))
 }
 
 // Put stores res for k, tagged with the epoch the computation started

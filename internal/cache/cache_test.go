@@ -101,6 +101,54 @@ func TestCacheEvictionLRUWithinSet(t *testing.T) {
 	}
 }
 
+// TestCachePeekTouch: Peek reads without side effects — no counter, no
+// recency stamp, no stale reclaim — and Touch later records the rows it
+// answered as hits with Get's recency stamp.
+func TestCachePeekTouch(t *testing.T) {
+	m := NewMetrics(newTestRegistry(t))
+	c := New(Config{Entries: ways, Shards: 1, Metrics: m})
+	e := c.Epoch().Load()
+	for i := 0; i < ways; i++ {
+		c.Put(k(0, uint64(i)<<8), e, res(float64(i+1)))
+	}
+	if got, ok := c.Peek(k(0, 0)); !ok || got != res(1) {
+		t.Fatalf("Peek(warm) = %v, %v", got, ok)
+	}
+	if _, ok := c.Peek(k(5, 5)); ok {
+		t.Fatal("Peek found an absent key")
+	}
+	if m.Hits.Value() != 0 || m.Misses.Value() != 0 {
+		t.Fatalf("Peek counted: hits=%d misses=%d", m.Hits.Value(), m.Misses.Value())
+	}
+	// Peek stamps no recency: key 0 is still the LRU victim.
+	c.Put(k(0, uint64(ways)<<8), e, res(100))
+	if _, ok := c.Peek(k(0, 0)); ok {
+		t.Fatal("a Peek refreshed the entry's recency")
+	}
+	// Touch does: key 1 survives the next overflow, key 2 goes instead.
+	c.Touch([]Key{k(0, 1<<8)})
+	if m.Hits.Value() != 1 {
+		t.Fatalf("Touch of one row counted %d hits, want 1", m.Hits.Value())
+	}
+	c.Put(k(0, uint64(ways+1)<<8), e, res(101))
+	if _, ok := c.Peek(k(0, 1<<8)); !ok {
+		t.Fatal("touched entry was evicted")
+	}
+	if _, ok := c.Peek(k(0, 2<<8)); ok {
+		t.Fatal("LRU entry survived eviction")
+	}
+	// A stale entry is a Peek miss and stays for Get to reclaim.
+	size := m.Size.Value()
+	c.Invalidate()
+	if _, ok := c.Peek(k(0, 1<<8)); ok {
+		t.Fatal("Peek answered from a stale epoch")
+	}
+	if m.EpochInvalidations.Value() != 0 || m.Size.Value() != size {
+		t.Fatalf("Peek reclaimed a stale entry: invalidations=%d size=%d->%d",
+			m.EpochInvalidations.Value(), size, m.Size.Value())
+	}
+}
+
 func TestCacheMetricsAccounting(t *testing.T) {
 	m := NewMetrics(newTestRegistry(t))
 	c := New(Config{Entries: ways, Shards: 1, Metrics: m})
@@ -339,7 +387,14 @@ func TestCacheConcurrentChurn(t *testing.T) {
 			for i := 0; i < 4000; i++ {
 				key := k(uint64(i%32), uint64(w)<<32|uint64(i%32))
 				e := c.Epoch().Load()
-				if _, ok := c.Get(key); !ok {
+				// Odd rounds read the way a text-probed serve row does.
+				var ok bool
+				if i%2 == 0 {
+					_, ok = c.Get(key)
+				} else if _, ok = c.Peek(key); ok {
+					c.Touch([]Key{key})
+				}
+				if !ok {
 					c.Put(key, e, res(float64(e)))
 				}
 				if i%512 == 511 {

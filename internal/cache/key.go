@@ -6,12 +6,14 @@ import (
 )
 
 // Key is the 128-bit canonical identity of a query: the hash of its
-// canonical predicate form (see workload.Canonicalize). Two queries get
-// equal keys iff their canonical forms are equal — up to hash collisions,
-// which at 128 bits are negligible against any realistic cache population
-// (the birthday bound crosses 2^-40 only beyond ~10^13 distinct queries).
-// The zero Key is a valid (if improbable) hash; entry occupancy is tracked
-// separately, so no key value is reserved.
+// canonical text, workload.QueryText(workload.Canonicalize(q)). Two queries
+// get equal keys iff their canonical forms are equal — up to hash
+// collisions, which at 128 bits are negligible against any realistic cache
+// population (the birthday bound crosses 2^-40 only beyond ~10^13 distinct
+// queries). Because the key hashes text, a raw request line can be probed
+// before it is parsed: KeyOfText(line) == KeyOf(q) exactly when the line is
+// byte-equal to q's canonical text. The zero Key is a valid (if improbable)
+// hash; entry occupancy is tracked separately, so no key value is reserved.
 type Key struct {
 	// Hi selects the set within a shard; Lo selects the shard. The two
 	// halves come from independently seeded mixers, so the full 128 bits
@@ -25,12 +27,19 @@ type Key struct {
 // the parser intersects per column, so real queries always fit.
 const maxInlinePreds = 16
 
-// KeyOf hashes q's canonical form into a Key. Single-table queries with at
-// most maxInlinePreds predicates hash with zero heap allocations — the
-// canonical scratch lives on the stack — which keeps the serve-layer cache
-// probe allocation-free. The property tests rely on (and verify)
+// maxInlineText bounds the stack buffer KeyOf renders the canonical text
+// into; a longer text costs one heap allocation, nothing else. Serve-shaped
+// queries (1–3 conjuncts) render to well under a tenth of it.
+const maxInlineText = 512
+
+// KeyOf hashes q's canonical text into a Key. Single-table queries with at
+// most maxInlinePreds predicates and a canonical text of at most
+// maxInlineText bytes hash with zero heap allocations — the canonical
+// scratch and the text live on the stack — which keeps the serve-layer
+// cache probe allocation-free. The property tests rely on (and verify)
 //
 //	KeyOf(q) == KeyOf(workload.Canonicalize(q))
+//	KeyOf(q) == KeyOfText(workload.QueryText(workload.Canonicalize(q)))
 //
 // so callers may hash raw queries directly. Join queries take the
 // allocating path through Query.Key (joins are not on the serving hot
@@ -47,38 +56,35 @@ func KeyOf(q workload.Query) Key {
 		buf = make([]dataset.Predicate, 0, len(q.Preds))
 	}
 	buf = workload.CanonicalizePreds(buf, q.Preds)
+	var text [maxInlineText]byte
+	return KeyOfText(workload.AppendQueryText(text[:0], workload.Query{Preds: buf}))
+}
 
+// KeyOfText hashes a raw query line with KeyOf's framing, without parsing
+// it: it equals KeyOf(q) exactly when line is byte-equal to q's canonical
+// text (up to 128-bit collisions), and is allocation-free. The serve path
+// probes the cache with it before parsing; a line spelled any other way
+// simply misses here and is parsed and probed by KeyOf.
+func KeyOfText[T string | []byte](line T) Key {
 	h := newHasher()
-	h.word(uint64(len(buf)))
-	for i := range buf {
-		p := &buf[i]
-		h.str(p.Col)
-		lo, hi := p.Lo, p.Hi
-		if p.Op == dataset.OpEq {
-			// OpEq and OpRange[v, v] are the same canonical point; hash the
-			// closed-bound pair so the op tag itself never distinguishes
-			// them (non-degenerate ranges can't collide with points: their
-			// bounds differ).
-			hi = lo
-		}
-		h.word(uint64(lo))
-		h.word(uint64(hi))
-	}
+	absorb(&h, line)
 	return h.sum()
 }
 
-// keyOfString hashes an opaque canonical string (the join-query path).
+// keyOfString hashes an opaque canonical string (the join-query path). The
+// extra leading length word keeps its framing apart from KeyOfText's.
 func keyOfString(s string) Key {
 	h := newHasher()
 	h.word(uint64(len(s)))
-	h.str(s)
+	absorb(&h, s)
 	return h.sum()
 }
 
 // hasher is a 128-bit incremental mixer: two independently seeded 64-bit
 // lanes, each word absorbed with a multiply–xor–shift (splitmix64
-// finalizer) round. It is not cryptographic — keys come from trusted
-// parsed queries, and a crafted collision merely aliases one cache entry.
+// finalizer) round. It is not cryptographic: a request line crafted to
+// collide with a cached key is answered with that entry's interval, to its
+// own sender only — a text probe reads entries and never writes one.
 type hasher struct {
 	h1, h2 uint64
 }
@@ -93,10 +99,11 @@ func (h *hasher) word(v uint64) {
 	h.h2 = mix64(h.h2 + v*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D)
 }
 
-// str absorbs a string as little-endian 64-bit chunks plus an explicit
-// length word, so "ab"+"c" and "a"+"bc" cannot alias across field
-// boundaries.
-func (h *hasher) str(s string) {
+// absorb feeds a string or byte slice into h as little-endian 64-bit
+// chunks plus an explicit length word, so "ab"+"c" and "a"+"bc" cannot alias
+// across field boundaries, and equal bytes hash equally whichever type
+// carries them.
+func absorb[T string | []byte](h *hasher, s T) {
 	h.word(uint64(len(s)))
 	for len(s) >= 8 {
 		v := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |

@@ -153,3 +153,66 @@ func TestKeyOfAllocs(t *testing.T) {
 		t.Fatalf("KeyOf allocates %v times per run; want 0", n)
 	}
 }
+
+// TestKeyOfTextMatchesCanonicalText: a line byte-equal to a query's
+// canonical text hashes to the query's key, so it finds the query's entry
+// before it is parsed; any other spelling of the same query does not.
+func TestKeyOfTextMatchesCanonicalText(t *testing.T) {
+	tab, err := dataset.GenerateDMV(dataset.GenConfig{Rows: 500, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := workload.Generate(tab, workload.Config{Count: 300, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lq := range wl.Queries {
+		text := workload.QueryText(workload.Canonicalize(lq.Query))
+		if KeyOfText(text) != KeyOf(lq.Query) {
+			t.Fatalf("KeyOfText(%q) != KeyOf(q)", text)
+		}
+	}
+	base := q(rng("x", 1, 50), eq("y", 3))
+	if got, want := KeyOfText("x BETWEEN 1 AND 50 AND y = 3"), KeyOf(base); got != want {
+		t.Fatal("canonical text hashed differently from its query")
+	}
+	for _, other := range []string{
+		"y = 3 AND x BETWEEN 1 AND 50", // reordered
+		"x BETWEEN 1 AND 50 AND y BETWEEN 3 AND 3",
+		"x BETWEEN 1 AND 50 AND y = 3 ", // trailing space
+		"x between 1 and 50 and y = 3",
+		"x >= 1 AND x <= 50 AND y = 3",
+	} {
+		if KeyOfText(other) == KeyOf(base) {
+			t.Fatalf("non-canonical spelling %q matched the canonical key", other)
+		}
+	}
+}
+
+// TestKeyOfTextAllocs pins the allocation-free text key.
+func TestKeyOfTextAllocs(t *testing.T) {
+	const line = "a = 5 AND b BETWEEN 2 AND 8 AND c BETWEEN -3 AND 3 AND d = 0"
+	if n := testing.AllocsPerRun(200, func() { _ = KeyOfText(line) }); n != 0 {
+		t.Fatalf("KeyOfText allocates %v times per run; want 0", n)
+	}
+}
+
+// BenchmarkKeyOf times the key of a parsed row, the cost every row the
+// text probe misses pays before its canonical probe: canonicalize, render
+// the canonical text, hash it. Queries are 1–3 conjuncts over DMV at 20k
+// rows, the serve benchmark's table and query sizes.
+func BenchmarkKeyOf(b *testing.B) {
+	tab, err := dataset.GenerateDMV(dataset.GenConfig{Rows: 20000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wl, err := workload.Generate(tab, workload.Config{Count: 1024, Seed: 3, MinPreds: 1, MaxPreds: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = KeyOf(wl.Queries[i%len(wl.Queries)].Query)
+	}
+}

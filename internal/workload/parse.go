@@ -20,9 +20,10 @@ import (
 //
 // Open-ended comparisons are closed using the column's domain bounds.
 //
-// ParseQuery runs on every serving request, so it allocates exactly once on
-// success: the returned predicate slice. Tokens and merged bounds live in
-// stack buffers (see DESIGN.md "Query parser").
+// ParseQuery runs on every serving row that is not a cache hit on its
+// canonical text (a hit is answered before parsing), so it allocates
+// exactly once on success: the returned predicate slice. Tokens and merged
+// bounds live in stack buffers (see DESIGN.md "Query parser").
 func ParseQuery(t *dataset.Table, input string) (Query, error) {
 	var tokBuf [32]token
 	toks, err := lex(input, tokBuf[:0])

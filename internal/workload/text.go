@@ -2,7 +2,6 @@ package workload
 
 import (
 	"strconv"
-	"strings"
 
 	"cardpi/internal/dataset"
 )
@@ -14,24 +13,32 @@ import (
 // canonical-form tests). Join queries have no textual grammar and render
 // as the empty string.
 func QueryText(q Query) string {
+	return string(AppendQueryText(nil, q))
+}
+
+// AppendQueryText appends QueryText(q) to dst and returns the extended
+// slice; with enough spare capacity in dst it performs no heap
+// allocations. The text of Canonicalize(q) is the canonical text the cache
+// key hashes (internal/cache KeyOf), so a line byte-equal to it can be
+// looked up before it is parsed.
+func AppendQueryText(dst []byte, q Query) []byte {
 	if q.Join != nil {
-		return ""
+		return dst
 	}
-	var sb strings.Builder
 	for i, p := range q.Preds {
 		if i > 0 {
-			sb.WriteString(" AND ")
+			dst = append(dst, " AND "...)
 		}
-		sb.WriteString(p.Col)
+		dst = append(dst, p.Col...)
 		if p.Op == dataset.OpEq {
-			sb.WriteString(" = ")
-			sb.WriteString(strconv.FormatInt(p.Lo, 10))
+			dst = append(dst, " = "...)
+			dst = strconv.AppendInt(dst, p.Lo, 10)
 			continue
 		}
-		sb.WriteString(" BETWEEN ")
-		sb.WriteString(strconv.FormatInt(p.Lo, 10))
-		sb.WriteString(" AND ")
-		sb.WriteString(strconv.FormatInt(p.Hi, 10))
+		dst = append(dst, " BETWEEN "...)
+		dst = strconv.AppendInt(dst, p.Lo, 10)
+		dst = append(dst, " AND "...)
+		dst = strconv.AppendInt(dst, p.Hi, 10)
 	}
-	return sb.String()
+	return dst
 }
