@@ -49,17 +49,16 @@ type AdaptiveConfig struct {
 	Significance float64
 	// Seed drives the martingale's tie-breaking.
 	Seed int64
-	// Metrics, when non-nil, registers the adaptive telemetry —
-	// cardpi_adaptive_* gauges, counters, and the interval-width
-	// histogram — on the given registry, labeled with this wrapper's
-	// model name. See OBSERVABILITY.md for the full series list.
+	// Metrics receives the adaptive telemetry — cardpi_adaptive_* gauges,
+	// counters, and the interval-width histogram — labeled with this
+	// wrapper's model name; nil records it without exporting
+	// (obs.Registry's nil rule). See OBSERVABILITY.md for the series list.
 	Metrics *obs.Registry
 }
 
 // NewAdaptive builds an adaptive PI around a model, seeded with an initial
-// calibration workload. With cfg.Metrics set, the drift and coverage
-// telemetry is live from the first Observe (including the seeding pass over
-// the initial workload).
+// calibration workload. The drift and coverage telemetry is live from the
+// first Observe (including the seeding pass over the initial workload).
 func NewAdaptive(model Estimator, initial *workload.Workload, score conformal.Score, cfg AdaptiveConfig) (*Adaptive, error) {
 	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
 		return nil, fmt.Errorf("cardpi: alpha must be in (0,1), got %v", cfg.Alpha)
@@ -76,11 +75,9 @@ func NewAdaptive(model Estimator, initial *workload.Workload, score conformal.Sc
 		model: model, score: score, alpha: cfg.Alpha, window: cfg.Window,
 		online: online, mon: mon,
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.GaugeFunc("cardpi_adaptive_calibration_size",
-			"Scores currently in the online calibration set.",
-			func() float64 { return float64(a.CalibrationSize()) }, obs.L("model", model.Name()))
-	}
+	cfg.Metrics.GaugeFunc("cardpi_adaptive_calibration_size",
+		"Scores currently in the online calibration set.",
+		func() float64 { return float64(a.CalibrationSize()) }, obs.L("model", model.Name()))
 	if initial != nil {
 		for _, lq := range initial.Queries {
 			a.Observe(lq.Query, lq.Sel)

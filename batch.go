@@ -35,22 +35,13 @@ const (
 	ratioMinBlock   = 64
 )
 
-// IntervalBatch answers all queries with pi without a deadline; see
-// IntervalBatchCtx.
+// IntervalBatch answers all queries with pi: through its native batch path
+// when pi implements BatchPI, and otherwise by fanning one Interval per
+// query over the bounded worker pool. Either way the result is aligned
+// with qs and element-wise identical to sequential Interval calls; on
+// failure the error of the lowest-indexed failing query is returned.
 func IntervalBatch(pi PI, qs []workload.Query) ([]Interval, error) {
-	return IntervalBatchCtx(context.Background(), pi, qs)
-}
-
-// IntervalBatchCtx answers all queries with pi under ctx: through its native
-// batch path when pi implements BatchPI (ctx is checked once, before the
-// kernel — batch kernels are pure CPU), and otherwise by fanning one
-// IntervalCtx per query over the bounded worker pool, so context-aware
-// stages observe the deadline row by row. An Instrumented pi forwards ctx
-// to what it wraps. Either way the result is aligned with qs and
-// element-wise identical to sequential Interval calls; on failure the error
-// of the lowest-indexed failing query is returned.
-func IntervalBatchCtx(ctx context.Context, pi PI, qs []workload.Query) ([]Interval, error) {
-	ivs, _, err := intervalBatchEstCtx(ctx, pi, qs)
+	ivs, _, err := intervalBatchEstCtx(context.Background(), pi, qs)
 	return ivs, err
 }
 
@@ -66,9 +57,13 @@ type estimatingPI interface {
 	intervalBatchEst(qs []workload.Query) ([]Interval, []float64, error)
 }
 
-// intervalBatchEstCtx is IntervalBatchCtx that also returns the point
-// estimates pi's kernel computed, when pi reports them (an estimatingPI,
-// bare or under Instrumented); the estimates are nil otherwise.
+// intervalBatchEstCtx answers all queries with pi under ctx and also
+// returns the point estimates pi's kernel computed, when pi reports them (an
+// estimatingPI, bare or under Instrumented); the estimates are nil
+// otherwise. A native batch path checks ctx once, before the kernel (batch
+// kernels are pure CPU); a non-batch pi runs one IntervalCtx per query over
+// the bounded worker pool, so context-aware stages observe the deadline row
+// by row. An Instrumented pi forwards ctx to what it wraps.
 func intervalBatchEstCtx(ctx context.Context, pi PI, qs []workload.Query) ([]Interval, []float64, error) {
 	if in, ok := pi.(*Instrumented); ok {
 		return in.intervalBatchEstCtx(ctx, qs)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"cardpi/internal/faultinject"
-	"cardpi/internal/obs"
 	"cardpi/internal/recal"
 )
 
@@ -111,11 +110,10 @@ func (d *drillHarness) admin(method, path, body string, wantCode int) *httptest.
 // width cap above the worst post-shift split-conformal width (residual-score
 // intervals are 2δ wide before clipping, so drifted data can exceed the
 // production default of 0.9 — pathology policing is covered separately).
-func drillServeOpts(reg *obs.Registry) serveOpts {
+func drillServeOpts() serveOpts {
 	return serveOpts{
 		alpha:         0.1,
 		timeout:       time.Second,
-		metrics:       reg,
 		scenarioAdmin: true,
 		recal: recalOpts{
 			enabled: true, window: 256, minObserved: 96, maxAttempts: 5,
@@ -141,11 +139,11 @@ func runDriftRecovery(t *testing.T, faulty bool) {
 		})
 		setup.PI = faultinject.WrapPI(setup.PI, plan)
 	}
-	reg := obs.NewRegistry()
-	srv, err := newServer(setup, drillServeOpts(reg))
+	srv, err := newServer(setup, drillServeOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := srv.metrics
 	d := newDrill(t, srv)
 
 	// Phase A: healthy traffic. The frozen chain covers and nothing drifts.
@@ -267,14 +265,14 @@ func TestScenarioDriftRecoveryUnderFaults(t *testing.T) {
 // meet), the episode exhausts its attempts and the serving chain — same
 // pointer, same name — keeps serving.
 func TestScenarioRejectedCandidateNeverSwapped(t *testing.T) {
-	reg := obs.NewRegistry()
-	o := drillServeOpts(reg)
+	o := drillServeOpts()
 	o.recal.widthCap = 1e-9 // unmeetable: every candidate rejects on width
 	o.recal.maxAttempts = 2
 	srv, err := newServer(smallSetup(t), o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := srv.metrics
 	d := newDrill(t, srv)
 	for i := 0; i < 120; i++ { // fill the window past minObserved
 		d.estimate()
@@ -329,7 +327,7 @@ func TestScenarioRejectedCandidateNeverSwapped(t *testing.T) {
 // and the status endpoint still answers (enabled=false) so probes have one
 // URL either way.
 func TestScenarioAdminGates(t *testing.T) {
-	srv, err := newServer(smallSetup(t), serveOpts{alpha: 0.1, metrics: obs.NewRegistry()})
+	srv, err := newServer(smallSetup(t), serveOpts{alpha: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +359,7 @@ func TestScenarioAdminGates(t *testing.T) {
 
 	// Unknown scenario actions are a structured 400 even with the gate open.
 	srv2, err := newServer(smallSetup(t), serveOpts{
-		alpha: 0.1, metrics: obs.NewRegistry(), scenarioAdmin: true,
+		alpha: 0.1, scenarioAdmin: true,
 	})
 	if err != nil {
 		t.Fatal(err)

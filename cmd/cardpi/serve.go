@@ -188,7 +188,6 @@ func runServe(args []string) error {
 		breakerFailures: *brFailures, breakerOpen: *brOpen,
 		registryCache: *regCache, smokeQueries: *smokeCount,
 		cacheEntries: *cacheEntries,
-		metrics:      obs.Default(),
 		source:       src,
 		recal: recalOpts{
 			enabled: *recalOn, window: *recalWindow, minObserved: *recalMinObs,
@@ -312,7 +311,6 @@ type serveOpts struct {
 	// cacheEntries sizes each serving unit's epoch-invalidated interval
 	// cache (internal/cache); 0 disables caching entirely.
 	cacheEntries int
-	metrics      *obs.Registry
 	// source records the model's provenance; nil means trained in-process
 	// (tests that assemble a Setup by hand take this default).
 	source *modelSource
@@ -444,8 +442,8 @@ type unitOpts struct {
 	// cacheEntries > 0 attaches an interval cache; cacheEpoch is the
 	// server-wide invalidation epoch every unit cache shares, and
 	// cacheMetrics the unit-labeled cardpi_cache_* instruments (both built
-	// by newServer so they land in the served registry, not the unit's
-	// possibly-private one).
+	// by newServer so they land in the served registry even when the
+	// unit's metrics are nil).
 	cacheEntries int
 	cacheEpoch   *cache.Epoch
 	cacheMetrics *cache.Metrics
@@ -465,14 +463,12 @@ type unitOpts struct {
 // monitor starts from the exact state the training run froze. Its coverage
 // and width windows start empty: they hold served intervals only.
 //
-// Registry-built units pass a private metrics registry: the obs families
-// are keyed by name+labels, so two tenants' units exporting into one
-// registry would collide (last GaugeFunc wins); per-tenant visibility comes
-// from the cardpi_registry_* counters instead.
+// Registry-built units pass nil metrics, so their instruments record
+// without exporting: the obs families are keyed by name+labels, so two
+// tenants' units exporting into one registry would collide (last GaugeFunc
+// wins); per-tenant visibility comes from the cardpi_registry_* counters
+// instead.
 func newServingUnit(s *pipeline.Setup, o unitOpts) (*servingUnit, error) {
-	if o.metrics == nil {
-		o.metrics = obs.NewRegistry()
-	}
 	mon, err := cardpi.NewMonitor(s.Model.Name(), 0, o.seed+100, o.metrics)
 	if err != nil {
 		return nil, err
@@ -559,8 +555,10 @@ type server struct {
 	synthDir   string
 	synthMu    sync.Mutex
 	synthSeq   atomic.Int64
-	// metrics is the registry the serving instruments live in, retained so
-	// admin-triggered synthesis publishes its cardpi_synth_* families there.
+	// metrics is the registry this server's instruments live in, built by
+	// newServer and served at /metrics after the process-wide pool
+	// families (par.Metrics); admin-triggered synthesis publishes its
+	// cardpi_synth_* families here too.
 	metrics *obs.Registry
 
 	// Admission control: sem holds the execution slots; waiters counts
@@ -620,9 +618,7 @@ var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // whose bundles are built into further units on demand, and the admission
 // control plus metric instruments shared by every route.
 func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
-	if o.metrics == nil {
-		o.metrics = obs.Default()
-	}
+	metrics := obs.NewRegistry()
 	if o.maxInflight <= 0 {
 		o.maxInflight = 64
 	}
@@ -643,20 +639,20 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 	// own alpha/seed in the manifest; the per-server knobs (breaker tuning,
 	// cache) apply uniformly. Unit-labeled cache instruments go to
 	// the served registry (the obs families collide only on identical label
-	// sets); nil metrics keep everything else on a private registry.
-	unitFor := func(alpha float64, seed int64, label string, metrics *obs.Registry) unitOpts {
+	// sets); a registry unit's other instruments get nil metrics.
+	unitFor := func(alpha float64, seed int64, label string, unitMetrics *obs.Registry) unitOpts {
 		uo := unitOpts{
 			alpha: alpha, seed: seed,
 			breakerFailures: o.breakerFailures, breakerOpen: o.breakerOpen,
-			metrics: metrics,
+			metrics: unitMetrics,
 		}
 		if epoch != nil {
 			uo.cacheEntries, uo.cacheEpoch = o.cacheEntries, epoch
-			uo.cacheMetrics = cache.NewMetrics(o.metrics, obs.L("unit", label))
+			uo.cacheMetrics = cache.NewMetrics(metrics, obs.L("unit", label))
 		}
 		return uo
 	}
-	def, err := newServingUnit(s, unitFor(o.alpha, o.seed, "default", o.metrics))
+	def, err := newServingUnit(s, unitFor(o.alpha, o.seed, "default", metrics))
 	if err != nil {
 		return nil, err
 	}
@@ -673,7 +669,7 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 			MaxBackoff:  o.recal.maxBackoff,
 			Drifted:     def.adaptive.Drifted,
 			Swap:        def.swapChain,
-			Metrics:     o.metrics,
+			Metrics:     metrics,
 			Logf:        logStderr,
 		})
 		if err != nil {
@@ -686,7 +682,7 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 	}, registry.Options{
 		CacheSize:    o.registryCache,
 		SmokeQueries: o.smokeQueries,
-		Metrics:      o.metrics,
+		Metrics:      metrics,
 	})
 	srv := &server{
 		def:           def,
@@ -700,7 +696,7 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 		scenarioAdmin: o.scenarioAdmin,
 		synthAdmin:    o.synthAdmin,
 		synthDir:      o.synthDir,
-		metrics:       o.metrics,
+		metrics:       metrics,
 	}
 	maxBatchCap := o.maxBatch
 	srv.scratch.New = func() any {
@@ -722,7 +718,7 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 	if ms := o.source; ms.origin == "artifact" {
 		// A constant-1 info gauge: the provenance travels in the labels, so
 		// dashboards can join serving metrics against the exact artifact.
-		o.metrics.IntGauge("cardpi_serve_artifact_info",
+		metrics.IntGauge("cardpi_serve_artifact_info",
 			"Constant 1 when serving from an artifact; labels carry the bundle's provenance.",
 			obs.L("model", ms.man.Model), obs.L("method", ms.man.Method),
 			obs.L("dataset", ms.man.Dataset),
@@ -735,32 +731,32 @@ func newServer(s *pipeline.Setup, o serveOpts) (*server, error) {
 	endpoint := func(requests, seconds, path string) endpointMetrics {
 		help := "Completed " + path + " requests by response class."
 		return endpointMetrics{
-			ok:   o.metrics.Counter(requests, help, obs.L("class", "ok")),
-			bad:  o.metrics.Counter(requests, help, obs.L("class", "bad_request")),
-			shed: o.metrics.Counter(requests, help, obs.L("class", "shed")),
-			fail: o.metrics.Counter(requests, help, obs.L("class", "error")),
-			lat: o.metrics.Histogram(seconds,
+			ok:   metrics.Counter(requests, help, obs.L("class", "ok")),
+			bad:  metrics.Counter(requests, help, obs.L("class", "bad_request")),
+			shed: metrics.Counter(requests, help, obs.L("class", "shed")),
+			fail: metrics.Counter(requests, help, obs.L("class", "error")),
+			lat: metrics.Histogram(seconds,
 				"End-to-end "+path+" latency in seconds, admission wait included.", obs.LatencyBuckets),
 		}
 	}
 	srv.single = endpoint("cardpi_serve_requests_total", "cardpi_serve_request_seconds", "/estimate")
 	srv.batch = endpoint("cardpi_serve_batch_requests_total", "cardpi_serve_batch_request_seconds", "/estimate/batch")
-	srv.shed = o.metrics.Counter("cardpi_serve_shed_total",
+	srv.shed = metrics.Counter("cardpi_serve_shed_total",
 		"Requests rejected by admission control (429 + Retry-After).")
-	srv.inflight = o.metrics.IntGauge("cardpi_serve_inflight",
+	srv.inflight = metrics.IntGauge("cardpi_serve_inflight",
 		"/estimate requests currently holding an execution slot.")
-	srv.batchSize = o.metrics.Histogram("cardpi_serve_batch_size",
+	srv.batchSize = metrics.Histogram("cardpi_serve_batch_size",
 		"Queries per accepted /estimate/batch request.", batchSizeBuckets)
-	srv.batchWireJSON = o.metrics.Counter("cardpi_serve_batch_wire_total",
+	srv.batchWireJSON = metrics.Counter("cardpi_serve_batch_wire_total",
 		"Answered /estimate/batch requests by negotiated wire format.", obs.L("wire_format", "json"))
-	srv.batchWireBinary = o.metrics.Counter("cardpi_serve_batch_wire_total",
+	srv.batchWireBinary = metrics.Counter("cardpi_serve_batch_wire_total",
 		"Answered /estimate/batch requests by negotiated wire format.", obs.L("wire_format", "binary"))
 	if epoch != nil {
-		o.metrics.GaugeFunc("cardpi_cache_epoch",
+		metrics.GaugeFunc("cardpi_cache_epoch",
 			"Current interval-cache invalidation epoch (bumps on every chain swap, table mutation, promote, and rollback).",
 			func() float64 { return float64(epoch.Load()) })
 	}
-	srv.metricsHandler = o.metrics.Handler()
+	srv.metricsHandler = obs.Handler(par.Metrics(), metrics)
 	return srv, nil
 }
 

@@ -53,11 +53,10 @@ func smallSetup(t *testing.T) *pipeline.Setup {
 	return &pipeline.Setup{Table: tab, Model: m, PI: pi, Train: train, Cal: cal}
 }
 
-// startServer spins the handler stack on httptest with a private registry.
+// startServer spins the handler stack on httptest and returns the server's
+// own metrics registry too.
 func startServer(t *testing.T, setup *pipeline.Setup, o serveOpts) (*httptest.Server, *server, *obs.Registry) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	o.metrics = reg
 	if o.alpha == 0 {
 		o.alpha = 0.1
 	}
@@ -67,7 +66,7 @@ func startServer(t *testing.T, setup *pipeline.Setup, o serveOpts) (*httptest.Se
 	}
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
-	return ts, srv, reg
+	return ts, srv, srv.metrics
 }
 
 // errorBody mirrors httpError's structured JSON shape.
@@ -368,8 +367,43 @@ func TestServeBatchMatchesSingle(t *testing.T) {
 func metricsDumpFor(t *testing.T, reg *obs.Registry) string {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	obs.Handler(reg).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	return rec.Body.String()
+}
+
+// TestServeMetricsArePerServer pins that every server exports its own
+// metrics: two servers in one process answer one /estimate each, and each
+// /metrics counts exactly its own call (plus the process-wide pool families).
+func TestServeMetricsArePerServer(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		ts, _, _ := startServer(t, smallSetup(t), serveOpts{})
+		resp, err := http.Get(ts.URL + "/estimate?q=" + url.QueryEscape("state = 3"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d: /estimate status = %d", i, resp.StatusCode)
+		}
+		mresp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(mresp.Body)
+		mresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			`cardpi_pi_calls_total{method="s-cp/histogram"} 1` + "\n",
+			`cardpi_serve_requests_total{class="ok"} 1` + "\n",
+			"# TYPE cardpi_par_tasks_total counter\n",
+		} {
+			if !strings.Contains(string(body), want) {
+				t.Errorf("server %d: /metrics missing %q", i, want)
+			}
+		}
+	}
 }
 
 // TestServeBatchValidation exercises the batch endpoint's rejection paths:
@@ -567,8 +601,7 @@ func (n *nullResponseWriter) WriteHeader(int)             {}
 func TestServeBatchAllocsBounded(t *testing.T) {
 	par.SetBatchWorkers(1)
 	defer par.SetBatchWorkers(0)
-	reg := obs.NewRegistry()
-	srv, err := newServer(smallSetup(t), serveOpts{alpha: 0.1, metrics: reg, timeout: time.Second})
+	srv, err := newServer(smallSetup(t), serveOpts{alpha: 0.1, timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

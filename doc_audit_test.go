@@ -139,6 +139,49 @@ func TestObservabilityDocCoversCacheSurface(t *testing.T) {
 	}
 }
 
+// TestObservabilityDocMatchesMetricFamilies keeps OBSERVABILITY.md's metric
+// tables one-for-one with the code: every cardpi_* family named by a string
+// literal in non-test Go (the root package, internal/, cmd/) must have a
+// table row, and every table row must name a family some such literal
+// creates. Adding, renaming or deleting a family without the matching doc
+// change fails CI.
+func TestObservabilityDocMatchesMetricFamilies(t *testing.T) {
+	dirs := []string{"."}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && d.IsDir() {
+				dirs = append(dirs, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	inCode := map[string]bool{}
+	for _, lit := range sourceMatches(t, regexp.MustCompile(`"cardpi_[a-z_]+"`), dirs...) {
+		inCode[strings.Trim(lit, `"`)] = true
+	}
+	inDoc := map[string]bool{}
+	row := regexp.MustCompile("(?m)^\\| `(cardpi_[a-z_]+)` \\|")
+	for _, m := range row.FindAllStringSubmatch(readDoc(t, "OBSERVABILITY.md"), -1) {
+		inDoc[m[1]] = true
+	}
+	if len(inCode) == 0 || len(inDoc) == 0 {
+		t.Fatalf("scan found %d families in code and %d table rows — the scanner is broken", len(inCode), len(inDoc))
+	}
+	for f := range inCode {
+		if !inDoc[f] {
+			t.Errorf("metric family %s is created in code but has no OBSERVABILITY.md table row", f)
+		}
+	}
+	for f := range inDoc {
+		if !inCode[f] {
+			t.Errorf("OBSERVABILITY.md documents metric family %s, which no code creates", f)
+		}
+	}
+}
+
 // sourceMatches collects the sorted, deduplicated matches of re across the
 // non-test Go files of the given directories.
 func sourceMatches(t *testing.T, re *regexp.Regexp, dirs ...string) []string {

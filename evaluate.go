@@ -7,16 +7,17 @@ import (
 	"time"
 
 	"cardpi/internal/conformal"
-	"cardpi/internal/obs"
 	"cardpi/internal/par"
 	"cardpi/internal/workload"
 )
 
 // Evaluation summarises a PI method over a test workload: empirical
 // coverage, interval width statistics (in selectivity units), and per-query
-// inference latency. Each pi.Interval call is timed individually, so
-// MeanPITime and P99PITime describe the per-call latency distribution
-// rather than an average smeared over the whole loop.
+// inference latency. A plain PI's Interval calls are timed individually; a
+// BatchPI answers the workload in chunks of up to 256 queries, and each
+// query is charged its chunk's wall time divided by the chunk size. So
+// MeanPITime and P99PITime describe the per-call latency distribution for
+// plain PIs and the per-chunk amortised distribution for BatchPIs.
 type Evaluation struct {
 	// Name is the evaluated method's PI.Name() (e.g. "s-cp/spn").
 	Name string
@@ -39,14 +40,8 @@ type Evaluation struct {
 // Evaluate runs a PI method over every query of a test workload. Queries are
 // dispatched across a bounded worker pool — every PI implementation in this
 // package is safe for concurrent Interval calls — and Intervals stays in
-// workload order regardless of scheduling.
-//
-// Evaluate also publishes its results on the process-wide obs registry
-// (obs.Default()), labeled by the method's Name(): a run counter, the latest
-// coverage and mean width as gauges, and every per-query latency into the
-// cardpi_pi_latency_seconds histogram — unless pi is already Instrumented,
-// in which case the wrapper records latencies itself and Evaluate skips the
-// histogram to avoid double counting.
+// workload order regardless of scheduling. Wrap pi with Instrument to
+// record its calls on a metrics registry.
 func Evaluate(pi PI, test *workload.Workload) (*Evaluation, error) {
 	return EvaluateCtx(context.Background(), pi, test)
 }
@@ -54,24 +49,17 @@ func Evaluate(pi PI, test *workload.Workload) (*Evaluation, error) {
 // EvaluateCtx is Evaluate under a context: each per-query Interval call goes
 // through the IntervalCtx shim (context-aware PIs see the deadline), workers
 // stop dispatching once ctx is cancelled, and the evaluation returns
-// ctx.Err(). Units and metrics behaviour match Evaluate.
+// ctx.Err(). Units match Evaluate.
 func EvaluateCtx(ctx context.Context, pi PI, test *workload.Workload) (*Evaluation, error) {
 	if test == nil || len(test.Queries) == 0 {
 		return nil, fmt.Errorf("cardpi: empty test workload")
-	}
-	method := obs.L("method", pi.Name())
-	reg := obs.Default()
-	var lat *obs.Histogram
-	if _, instrumented := pi.(*Instrumented); !instrumented {
-		lat = reg.Histogram("cardpi_pi_latency_seconds",
-			"Per-call PI.Interval latency in seconds, by method.", obs.LatencyBuckets, method)
 	}
 	intervals := make([]Interval, len(test.Queries))
 	truths := make([]float64, len(test.Queries))
 	times := make([]time.Duration, len(test.Queries))
 	var err error
 	if bp, ok := pi.(BatchPI); ok {
-		err = evaluateBatched(ctx, bp, test, intervals, truths, times, lat)
+		err = evaluateBatched(ctx, bp, test, intervals, truths, times)
 	} else {
 		err = par.ForEach(len(test.Queries), func(i int) error {
 			if err := ctx.Err(); err != nil {
@@ -81,9 +69,6 @@ func EvaluateCtx(ctx context.Context, pi PI, test *workload.Workload) (*Evaluati
 			qStart := time.Now()
 			iv, err := IntervalCtx(ctx, pi, lq.Query)
 			times[i] = time.Since(qStart)
-			if lat != nil {
-				lat.Observe(times[i].Seconds())
-			}
 			if err != nil {
 				return err
 			}
@@ -103,12 +88,6 @@ func EvaluateCtx(ctx context.Context, pi PI, test *workload.Workload) (*Evaluati
 	if err != nil {
 		return nil, err
 	}
-	reg.Counter("cardpi_evaluate_runs_total",
-		"Completed Evaluate runs, by method.", method).Inc()
-	reg.Gauge("cardpi_evaluate_coverage",
-		"Empirical coverage of the most recent Evaluate run, by method.", method).Set(cov)
-	reg.Gauge("cardpi_evaluate_width_mean",
-		"Mean interval width (normalised selectivity) of the most recent Evaluate run, by method.", method).Set(widths.Mean)
 	mean, p99 := latencyStats(times)
 	return &Evaluation{
 		Name:       pi.Name(),
@@ -130,7 +109,7 @@ const evaluateChunk = 256
 // IntervalBatch answers all of a chunk's queries at once, so amortised
 // latency is the honest per-query figure (and the one serving pays).
 func evaluateBatched(ctx context.Context, pi BatchPI, test *workload.Workload,
-	intervals []Interval, truths []float64, times []time.Duration, lat *obs.Histogram) error {
+	intervals []Interval, truths []float64, times []time.Duration) error {
 	for start := 0; start < len(test.Queries); start += evaluateChunk {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -150,9 +129,6 @@ func evaluateBatched(ctx context.Context, pi BatchPI, test *workload.Workload,
 			intervals[start+i] = iv
 			truths[start+i] = test.Queries[start+i].Sel
 			times[start+i] = perQuery
-			if lat != nil {
-				lat.Observe(perQuery.Seconds())
-			}
 		}
 	}
 	return nil

@@ -28,10 +28,10 @@ type Instrumented struct {
 	lat   *obs.Histogram
 }
 
-// Instrument wraps pi with metric recording on reg (obs.Default() is the
-// registry `cardpi serve` exposes). The metric instruments are resolved once
-// here, never on the per-query path. Wrapping an already-Instrumented PI
-// returns it unchanged rather than double-counting.
+// Instrument wraps pi with metric recording on reg; a nil reg records
+// without exporting (obs.Registry's nil rule). The metric instruments are
+// resolved once here, never on the per-query path. Wrapping an
+// already-Instrumented PI returns it unchanged rather than double-counting.
 func Instrument(pi PI, reg *obs.Registry) *Instrumented {
 	if in, ok := pi.(*Instrumented); ok {
 		return in
@@ -71,24 +71,18 @@ func (in *Instrumented) IntervalCtx(ctx context.Context, q workload.Query) (Inte
 	return iv, err
 }
 
-// IntervalBatch implements BatchPI: IntervalBatchCtx without a deadline.
+// IntervalBatch implements BatchPI: it forwards the batch to the wrapped PI
+// (through intervalBatchEstCtx, so non-batch PIs still work) and records the
+// same metrics a sequential loop would — one call count per query and the
+// batch's amortised per-query latency into the histogram, keeping latency
+// quantiles comparable across serving modes.
 func (in *Instrumented) IntervalBatch(qs []workload.Query) ([]Interval, error) {
-	return in.IntervalBatchCtx(context.Background(), qs)
-}
-
-// IntervalBatchCtx forwards the batch and its context to the wrapped PI
-// (through the IntervalBatchCtx package function, so non-batch and
-// context-aware PIs still work) and records the same metrics a sequential
-// loop would — one call count per query and the batch's amortised per-query
-// latency into the histogram, keeping latency quantiles comparable across
-// serving modes.
-func (in *Instrumented) IntervalBatchCtx(ctx context.Context, qs []workload.Query) ([]Interval, error) {
-	ivs, _, err := in.intervalBatchEstCtx(ctx, qs)
+	ivs, _, err := in.intervalBatchEstCtx(context.Background(), qs)
 	return ivs, err
 }
 
-// intervalBatchEstCtx is IntervalBatchCtx that also passes on the wrapped
-// PI's point estimates (see intervalBatchEstCtx).
+// intervalBatchEstCtx is IntervalBatch under ctx that also passes on the
+// wrapped PI's point estimates (see the package-level intervalBatchEstCtx).
 func (in *Instrumented) intervalBatchEstCtx(ctx context.Context, qs []workload.Query) ([]Interval, []float64, error) {
 	if len(qs) == 0 {
 		return nil, nil, nil

@@ -132,34 +132,6 @@ func TestAdaptiveDriftAlarmCounterEdgeTriggered(t *testing.T) {
 	}
 }
 
-func TestEvaluatePublishesMetrics(t *testing.T) {
-	model, _, _, cal, test := fixture(t)
-	pi, err := WrapSplitCP(model, cal, conformal.ResidualScore{}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := obs.Default().Counter("cardpi_evaluate_runs_total",
-		"", obs.L("method", pi.Name())).Value()
-	ev, err := Evaluate(pi, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.Default()
-	if got := reg.Counter("cardpi_evaluate_runs_total", "", obs.L("method", pi.Name())).Value(); got != before+1 {
-		t.Fatalf("evaluate runs counter = %d, want %d", got, before+1)
-	}
-	if got := reg.Gauge("cardpi_evaluate_coverage", "", obs.L("method", pi.Name())).Value(); got != ev.Coverage {
-		t.Fatalf("coverage gauge = %v, want %v", got, ev.Coverage)
-	}
-	if got := reg.Gauge("cardpi_evaluate_width_mean", "", obs.L("method", pi.Name())).Value(); got != ev.Widths.Mean {
-		t.Fatalf("width gauge = %v, want %v", got, ev.Widths.Mean)
-	}
-	if reg.Histogram("cardpi_pi_latency_seconds", "", obs.LatencyBuckets,
-		obs.L("method", pi.Name())).Count() < uint64(len(test.Queries)) {
-		t.Fatal("latency histogram did not receive per-query observations")
-	}
-}
-
 // TestIntervalZeroAllocWithMetrics is the acceptance check for the
 // observability layer: metric recording must add zero heap allocations per
 // Interval call, both for an Instrumented static wrapper and for Adaptive

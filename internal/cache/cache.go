@@ -76,8 +76,8 @@ type Result struct {
 }
 
 // Metrics bundles the cardpi_cache_* instruments one cache reports into.
-// Construct with NewMetrics, or leave the cache's Config.Metrics nil for
-// unmetered operation.
+// Construct with NewMetrics; a nil Config.Metrics is NewMetrics(nil), whose
+// instruments record without exporting (obs.Registry's nil rule).
 type Metrics struct {
 	// Hits counts reads answered from a live entry.
 	Hits *obs.Counter
@@ -115,14 +115,6 @@ func NewMetrics(reg *obs.Registry, labels ...obs.Label) *Metrics {
 	}
 }
 
-// noopMetrics backs unmetered caches; the zero-value obs instruments are
-// valid atomics that are simply never exported.
-var noopMetrics = &Metrics{
-	Hits: &obs.Counter{}, Misses: &obs.Counter{}, Coalesced: &obs.Counter{},
-	Evictions: &obs.Counter{}, EpochInvalidations: &obs.Counter{},
-	Size: &obs.IntGauge{},
-}
-
 // ways is the set associativity: victim search scans this many entries, a
 // single cache line's worth of keys, and a hot key survives up to ways-1
 // colliding neighbors before approximate LRU picks it.
@@ -158,7 +150,8 @@ type Config struct {
 	// Epoch is the shared invalidation clock; nil gives the cache a
 	// private one (then Invalidate is the only bump source).
 	Epoch *Epoch
-	// Metrics receives the cardpi_cache_* counters; nil disables metering.
+	// Metrics receives the cardpi_cache_* counters; nil records them
+	// without exporting, as NewMetrics(nil) (obs.Registry's nil rule).
 	Metrics *Metrics
 }
 
@@ -206,7 +199,7 @@ func New(cfg Config) *Cache {
 		c.epoch = new(Epoch)
 	}
 	if c.m == nil {
-		c.m = noopMetrics
+		c.m = NewMetrics(nil)
 	}
 	for i := range c.shards {
 		c.shards[i].entries = make([]entry, nSets*ways)

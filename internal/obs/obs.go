@@ -289,6 +289,11 @@ var WidthBuckets = []float64{
 // same instance, and panics if it was previously created as a different
 // metric type or with different bounds (a programming error, like a
 // duplicate flag registration).
+//
+// A nil *Registry is valid and is the one answer to "where do metrics go
+// when no registry is given": its creation methods hand out working
+// instruments that record normally but are never exported (each call
+// returns a fresh instance), and it renders nothing.
 type Registry struct {
 	mu      sync.Mutex
 	byKey   map[string]metric
@@ -299,13 +304,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{byKey: make(map[string]metric)}
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry, used by the library's built-in
-// instrumentation (internal/par, cardpi.Evaluate) and served by
-// `cardpi serve` at /metrics.
-func Default() *Registry { return defaultRegistry }
 
 // renderLabels formats a label set as `{k="v",...}` with keys in the given
 // order, or "" for an empty set.
@@ -339,6 +337,9 @@ func escapeLabel(v string) string {
 // lookup returns the existing metric for key, or registers the one built
 // by mk. The registered metric's concrete type must match want.
 func (r *Registry) lookup(key, want string, mk func() metric) metric {
+	if r == nil {
+		return mk()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.byKey[key]; ok {
@@ -395,18 +396,21 @@ func (r *Registry) IntGauge(family, help string, labels ...Label) *IntGauge {
 func (r *Registry) GaugeFunc(family, help string, fn func() float64, labels ...Label) *GaugeFunc {
 	lb := renderLabels(labels)
 	key := family + lb
+	g := &GaugeFunc{d: desc{family: family, help: help, labels: lb}}
+	g.fn.Store(fn)
+	if r == nil {
+		return g
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.byKey[key]; ok {
-		g, isFunc := m.(*GaugeFunc)
+		old, isFunc := m.(*GaugeFunc)
 		if !isFunc {
 			panic(fmt.Sprintf("obs: metric %q already registered as %s, requested gauge func", key, m.typeName()))
 		}
-		g.fn.Store(fn)
-		return g
+		old.fn.Store(fn)
+		return old
 	}
-	g := &GaugeFunc{d: desc{family: family, help: help, labels: lb}}
-	g.fn.Store(fn)
 	r.byKey[key] = g
 	r.ordered = append(r.ordered, g)
 	return g
@@ -440,6 +444,9 @@ func (r *Registry) Histogram(family, help string, bounds []float64, labels ...La
 // atomically per series (the exposition is not a point-in-time snapshot
 // across series, the usual Prometheus semantics).
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	snapshot := append([]metric(nil), r.ordered...)
 	r.mu.Unlock()
@@ -482,12 +489,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// Handler returns an http.Handler serving the registry in the Prometheus
-// text format — mount it at /metrics.
-func (r *Registry) Handler() http.Handler {
+// Handler returns an http.Handler serving regs, in order, in the Prometheus
+// text format — mount it at /metrics. The registries must not share a
+// metric family.
+func Handler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+		for _, r := range regs {
+			if r.WritePrometheus(w) != nil {
+				return
+			}
+		}
 	})
 }
 

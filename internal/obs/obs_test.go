@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -159,6 +161,71 @@ func TestGaugeFuncReplacesCallback(t *testing.T) {
 	}
 	if samples != 1 {
 		t.Fatalf("want exactly 1 sample line after re-registration, got %d:\n%s", samples, out)
+	}
+}
+
+// TestNilRegistryRecordsWithoutExporting pins the nil rule: a nil
+// *Registry hands out working instruments that record normally, renders
+// nothing, and serves an empty /metrics body.
+func TestNilRegistryRecordsWithoutExporting(t *testing.T) {
+	var r *Registry
+	c := r.Counter("cardpi_nil_total", "x", L("k", "v"))
+	c.Inc()
+	c.Add(2)
+	if c.Value() != 3 {
+		t.Fatalf("counter = %d, want 3", c.Value())
+	}
+	g := r.Gauge("cardpi_nil_gauge", "x")
+	g.Set(1.5)
+	g.Add(1)
+	if g.Value() != 2.5 {
+		t.Fatalf("gauge = %v, want 2.5", g.Value())
+	}
+	ig := r.IntGauge("cardpi_nil_depth", "x")
+	ig.Add(4)
+	if ig.Value() != 4 {
+		t.Fatalf("int gauge = %d, want 4", ig.Value())
+	}
+	h := r.Histogram("cardpi_nil_seconds", "x", []float64{1, 10})
+	h.Observe(0.5)
+	h.Observe(5)
+	if h.Count() != 2 || h.Sum() != 5.5 || h.Quantile(1) != 10 {
+		t.Fatalf("histogram count %d sum %v q100 %v, want 2, 5.5, 10", h.Count(), h.Sum(), h.Quantile(1))
+	}
+	gf := r.GaugeFunc("cardpi_nil_fn", "x", func() float64 { return 7 })
+	if got := string(gf.write(nil)); got != "cardpi_nil_fn 7\n" {
+		t.Fatalf("gauge func renders %q, want %q", got, "cardpi_nil_fn 7\n")
+	}
+
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if sb.Len() != 0 {
+		t.Fatalf("nil registry rendered %q, want nothing", sb.String())
+	}
+	rec := httptest.NewRecorder()
+	Handler(r).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
+		t.Fatalf("nil registry handler: status %d body %q, want 200 and empty", rec.Code, rec.Body.String())
+	}
+}
+
+// TestHandlerRendersRegistriesInOrder checks that Handler concatenates its
+// registries' expositions in argument order.
+func TestHandlerRendersRegistriesInOrder(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Counter("cardpi_a_total", "a").Inc()
+	b.Counter("cardpi_b_total", "b").Add(2)
+	rec := httptest.NewRecorder()
+	Handler(a, nil, b).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	want := "# HELP cardpi_a_total a\n# TYPE cardpi_a_total counter\ncardpi_a_total 1\n" +
+		"# HELP cardpi_b_total b\n# TYPE cardpi_b_total counter\ncardpi_b_total 2\n"
+	if got := rec.Body.String(); got != want {
+		t.Fatalf("handler body:\n%s\nwant:\n%s", got, want)
+	}
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("content type %q", ct)
 	}
 }
 

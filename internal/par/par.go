@@ -102,17 +102,22 @@ func RunBlocks(n, minBlock int, fn func(lo, hi int) error) error {
 	})
 }
 
-// Pool telemetry, registered on the process-wide obs registry. Recording is
-// one atomic op per event, so the per-item cost is negligible next to the
-// work items themselves (interval production, fold training, labeling).
+// Pool telemetry. The pool is process-wide, so its registry is too: par owns
+// it and Metrics hands it to whatever serves /metrics. Recording is one
+// atomic op per event, so the per-item cost is negligible next to the work
+// items themselves (interval production, fold training, labeling).
 var (
-	tasksTotal = obs.Default().Counter("cardpi_par_tasks_total",
+	metrics    = obs.NewRegistry()
+	tasksTotal = metrics.Counter("cardpi_par_tasks_total",
 		"Work items executed by the internal/par bounded worker pool.")
-	queueDepth = obs.Default().IntGauge("cardpi_par_queue_depth",
+	queueDepth = metrics.IntGauge("cardpi_par_queue_depth",
 		"Work items submitted to the pool and not yet finished (queued + running).")
-	firstErrors = obs.Default().Counter("cardpi_par_first_errors_total",
+	firstErrors = metrics.Counter("cardpi_par_first_errors_total",
 		"Pool batches (ForEach/Map calls) that completed with at least one failing item.")
 )
+
+// Metrics returns the registry holding the cardpi_par_* pool families.
+func Metrics() *obs.Registry { return metrics }
 
 // Pool bounds the number of goroutines used by ForEach and Map. The zero
 // value is not useful; construct with NewPool.

@@ -116,8 +116,8 @@ type Config struct {
 	// An error rejects the candidate (ReasonSwap) and the episode retries;
 	// the old chain must keep serving on every return path. Required.
 	Swap func(c *Candidate) error
-	// Metrics, when non-nil, registers the cardpi_recal_* families
-	// (OBSERVABILITY.md).
+	// Metrics receives the cardpi_recal_* families (OBSERVABILITY.md); nil
+	// records them without exporting (obs.Registry's nil rule).
 	Metrics *obs.Registry
 	// Logf, when non-nil, receives one line per episode transition.
 	Logf func(format string, args ...any)
@@ -280,11 +280,8 @@ func New(cfg Config) (*Supervisor, error) {
 	return s, nil
 }
 
-// registerMetrics creates the cardpi_recal_* families; reg may be nil.
+// registerMetrics creates the cardpi_recal_* families.
 func (s *Supervisor) registerMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	s.stateG = reg.Gauge("cardpi_recal_state",
 		"Recalibration supervisor state: 0 idle, 1 recalibrating, 2 backoff, 3 failed (episode abandoned).")
 	s.attemptsC = reg.Counter("cardpi_recal_attempts_total",
@@ -427,9 +424,7 @@ func (s *Supervisor) runEpisode(ctx context.Context) {
 		s.mu.Lock()
 		s.attempts++
 		s.mu.Unlock()
-		if s.attemptsC != nil {
-			s.attemptsC.Inc()
-		}
+		s.attemptsC.Inc()
 		if s.attemptOnce(ep, attempt) {
 			s.finishEpisode(true)
 			return
@@ -474,15 +469,11 @@ func (s *Supervisor) attemptOnce(ep, attempt int) bool {
 		s.logf("recal: episode %d attempt %d swap refused: %v", ep, attempt, err)
 		return false
 	}
-	if s.swapH != nil {
-		s.swapH.Observe(time.Since(start).Seconds())
-	}
+	s.swapH.Observe(time.Since(start).Seconds())
 	s.mu.Lock()
 	s.swaps++
 	s.mu.Unlock()
-	if s.successC != nil {
-		s.successC.Inc()
-	}
+	s.successC.Inc()
 	s.logf("recal: episode %d attempt %d swapped in %s (coverage %.3f width %.4f on %d held-out)",
 		ep, attempt, cand.PI.Name(), cand.Report.Coverage, cand.Report.MeanWidth, cand.Report.ValSamples)
 	return true
@@ -605,9 +596,7 @@ func (s *Supervisor) setState(st State) {
 	s.mu.Lock()
 	s.state = st
 	s.mu.Unlock()
-	if s.stateG != nil {
-		s.stateG.Set(float64(st))
-	}
+	s.stateG.Set(float64(st))
 }
 
 // finishEpisode closes an episode: Idle on success, Failed (plus the failed
@@ -620,9 +609,7 @@ func (s *Supervisor) finishEpisode(success bool) {
 	s.mu.Lock()
 	s.failed++
 	s.mu.Unlock()
-	if s.failedC != nil {
-		s.failedC.Inc()
-	}
+	s.failedC.Inc()
 	s.setState(StateFailed)
 }
 
@@ -632,9 +619,7 @@ func (s *Supervisor) reject(reason string) {
 	s.rejected++
 	s.lastRep.Reason = reason
 	s.mu.Unlock()
-	if c := s.rejectedC[reason]; c != nil {
-		c.Inc()
-	}
+	s.rejectedC[reason].Inc()
 }
 
 // noteReport stores the latest validation verdict and mirrors the gauges.
@@ -642,10 +627,10 @@ func (s *Supervisor) noteReport(rep ValidationReport) {
 	s.mu.Lock()
 	s.lastRep = rep
 	s.mu.Unlock()
-	if s.valCovG != nil && isFinite(rep.Coverage) {
+	if isFinite(rep.Coverage) {
 		s.valCovG.Set(rep.Coverage)
 	}
-	if s.valWidthG != nil && isFinite(rep.MeanWidth) {
+	if isFinite(rep.MeanWidth) {
 		s.valWidthG.Set(rep.MeanWidth)
 	}
 }

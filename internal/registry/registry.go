@@ -127,8 +127,8 @@ type Options struct {
 	// compares when PromoteOptions.SmokeQueries is 0. 0 means
 	// DefaultSmokeQueries.
 	SmokeQueries int
-	// Metrics receives the cardpi_registry_* families; nil creates a
-	// private registry (metrics still maintained, just not exported).
+	// Metrics receives the cardpi_registry_* families; nil records them
+	// without exporting (obs.Registry's nil rule).
 	Metrics *obs.Registry
 	// Logf, when non-nil, receives load progress lines.
 	Logf func(format string, args ...any)
@@ -181,9 +181,6 @@ func New[T any](build BuildFunc[T], opts Options) *Registry[T] {
 	}
 	if opts.SmokeQueries <= 0 {
 		opts.SmokeQueries = DefaultSmokeQueries
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = obs.NewRegistry()
 	}
 	return &Registry[T]{
 		build:   build,

@@ -152,7 +152,8 @@ type Options struct {
 	// Workers bounds trial parallelism (0 = NumCPU). Results are
 	// identical for any value.
 	Workers int
-	// Metrics receives the cardpi_synth_* families (nil = obs.Default()).
+	// Metrics receives the cardpi_synth_* families; nil records them
+	// without exporting (obs.Registry's nil rule).
 	Metrics *obs.Registry
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -679,9 +680,6 @@ func Summary(lb *Leaderboard) string {
 // publishMetrics emits the cardpi_synth_* families for one run.
 func publishMetrics(opts Options, lb *Leaderboard, wall time.Duration) {
 	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.Default()
-	}
 	reg.Counter("cardpi_synth_runs_total", "Completed synthesis runs.").Inc()
 	counts := Counts(lb)
 	for _, status := range []string{StatusScored, StatusRejected, StatusPruned, StatusFailed} {

@@ -104,8 +104,8 @@ type monitorSnapshot struct {
 // NewMonitor builds a monitor whose drift alarm fires at the given
 // significance (0 takes the default 0.001) and whose martingale
 // tie-breaking is driven by seed. Its cardpi_adaptive_* families are
-// registered on reg (a private registry when reg is nil), labeled with
-// model; see OBSERVABILITY.md.
+// registered on reg (recorded but not exported when reg is nil, per
+// obs.Registry's nil rule), labeled with model; see OBSERVABILITY.md.
 func NewMonitor(model string, significance float64, seed int64, reg *obs.Registry) (*Monitor, error) {
 	if significance <= 0 {
 		significance = 0.001
@@ -113,9 +113,6 @@ func NewMonitor(model string, significance float64, seed int64, reg *obs.Registr
 	mart, err := conformal.NewPowerMartingale(0.1, seed)
 	if err != nil {
 		return nil, err
-	}
-	if reg == nil {
-		reg = obs.NewRegistry()
 	}
 	m := &Monitor{mart: mart, significance: significance}
 	m.publishLocked()

@@ -132,7 +132,7 @@ func (b *breaker) current() BreakerState {
 
 // ResilientConfig configures NewResilient. The zero value is usable: no
 // fallbacks (the chain is primary → fail-safe), a 5-failure threshold, a 5 s
-// open period, one half-open probe, and metrics on a private registry.
+// open period, one half-open probe, and metrics recorded but not exported.
 type ResilientConfig struct {
 	// Fallbacks is the ordered fallback chain consulted after the primary
 	// fails or the breaker is open — typically a conservative traditional
@@ -149,9 +149,9 @@ type ResilientConfig struct {
 	// HalfOpenProbes is the number of concurrent trial requests admitted to
 	// the primary while half-open (default 1).
 	HalfOpenProbes int
-	// Metrics, when non-nil, registers the cardpi_resilient_* families on
-	// the given registry, labeled with the chain's name; nil keeps the
-	// counters on a private registry (recorded but not exported).
+	// Metrics receives the cardpi_resilient_* families, labeled with the
+	// chain's name; nil records them without exporting (obs.Registry's nil
+	// rule).
 	Metrics *obs.Registry
 	// Clock overrides the breaker's time source for deterministic tests
 	// (default time.Now).
@@ -217,9 +217,6 @@ func NewResilient(primary PI, cfg ResilientConfig) (*Resilient, error) {
 		cfg.Clock = time.Now
 	}
 	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	stages := append([]PI{primary}, cfg.Fallbacks...)
 	name := "resilient/" + primary.Name()
 	pi := obs.L("pi", name)
@@ -361,7 +358,7 @@ func (r *Resilient) EstimateModel() Estimator { return estimateModelOf(r.stages[
 // breaker records one event per batch primary attempt — success only when
 // the call returned no error and every row was finite — so a poisoned batch
 // trips it at the same rate as a poisoned single query. The context is
-// forwarded to every stage's batch call (IntervalBatchCtx) and checked
+// forwarded to every stage's batch call (intervalBatchEstCtx) and checked
 // between stages: once it is done, remaining queries go straight to the
 // fail-safe full-domain interval.
 //
