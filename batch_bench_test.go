@@ -67,14 +67,10 @@ func (s *benchPIState) build() error {
 
 	hist := histogram.NewSingle(tab, histogram.Config{})
 	feat := estimator.NewFeaturizer(tab)
-	ff := func(q workload.Query) []float64 { return feat.Featurize(q) }
-	lcp, err := WrapLocalized(hist, cal, ff, conformal.ResidualScore{}, 0.1, 50)
+	lcp, err := WrapLocalized(hist, cal, feat.AppendFeaturize, conformal.ResidualScore{}, 0.1, 50)
 	if err != nil {
 		return err
 	}
-	// The pipeline wires the append-style featurizer on every localized
-	// wrapper it builds; the benchmark measures the same production path.
-	lcp.SetAppendFeatures(feat.AppendFeaturize)
 
 	m, err := mscn.Train(mscn.NewSingleFeaturizer(tab), train, mscn.Config{Epochs: 2, Seed: 7})
 	if err != nil {

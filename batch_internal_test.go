@@ -380,18 +380,17 @@ func TestIntervalBatchAllocsLocalized(t *testing.T) {
 	}
 	model := histogram.NewSingle(tab, histogram.Config{})
 	feat := estimator.NewFeaturizer(tab)
-	lcp, err := WrapLocalized(model, parts[0], feat.Featurize, conformal.ResidualScore{}, 0.1, 20)
+	lcp, err := WrapLocalized(model, parts[0], feat.AppendFeaturize, conformal.ResidualScore{}, 0.1, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcp.SetAppendFeatures(feat.AppendFeaturize)
 	qs := queriesOf(parts[1])[:256]
 	assertConstantBatchAllocs(t, lcp, qs)
 }
 
 // TestLocalizedIntervalMatchesBatchRow pins the scalar lcp path to the batch
-// kernel: every Interval equals its IntervalBatch row bit for bit, with and
-// without the append featurizer, for neighbourhoods that take the tree, the
+// kernel: every Interval equals its IntervalBatch row bit for bit, for
+// neighbourhoods that take the tree, the
 // bounded-heap scan and the quickselect branches (K == calibration size
 // included), and for feature vectors carrying NaN or ±Inf — in the query
 // only (the tree is built, the poisoned query falls back to a scan) or in
@@ -413,7 +412,7 @@ func TestLocalizedIntervalMatchesBatchRow(t *testing.T) {
 	model := histogram.NewSingle(tab, histogram.Config{})
 	feat := estimator.NewFeaturizer(tab)
 	// poison overwrites the first feature of every third query with NaN,
-	// +Inf or -Inf, keyed on the query so both featurizers agree.
+	// +Inf or -Inf, keyed on the query so calibration and serving agree.
 	var poisonOn bool
 	poison := func(q workload.Query, f []float64) []float64 {
 		if !poisonOn || len(q.Preds) == 0 || len(f) == 0 {
@@ -429,8 +428,7 @@ func TestLocalizedIntervalMatchesBatchRow(t *testing.T) {
 		}
 		return f
 	}
-	ff := func(q workload.Query) []float64 { return poison(q, feat.Featurize(q)) }
-	aff := func(q workload.Query, dst []float64) []float64 { return poison(q, feat.AppendFeaturize(q, dst)) }
+	ff := func(q workload.Query, dst []float64) []float64 { return poison(q, feat.AppendFeaturize(q, dst)) }
 	n := len(cal.Queries)
 	for _, k := range []int{5, n / 4, n} {
 		for _, poisonCal := range []bool{false, true} {
@@ -440,14 +438,11 @@ func TestLocalizedIntervalMatchesBatchRow(t *testing.T) {
 				t.Fatal(err)
 			}
 			poisonOn = true
-			for _, af := range []AppendFeatureFunc{nil, aff} {
-				lcp.SetAppendFeatures(af)
-				batch, err := lcp.IntervalBatch(qs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameBits(t, batch, seqIntervals(t, lcp, qs))
+			batch, err := lcp.IntervalBatch(qs)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sameBits(t, batch, seqIntervals(t, lcp, qs))
 		}
 	}
 }

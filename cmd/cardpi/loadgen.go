@@ -161,8 +161,10 @@ func runLoadgen(args []string) error {
 }
 
 // loadgenUniverse regenerates the server's table deterministically and
-// renders a workload over it as query text — the same grammar the serve
-// endpoints parse, so every request is answerable. The workload seed is
+// renders a workload over it as canonical query text — the same grammar the
+// serve endpoints parse, so every request is answerable, with predicates in
+// canonical order, so a cached query is answered by the text probe without
+// a parse. The workload seed is
 // offset from the table seed so the universe never coincides with the
 // server's own training/calibration split.
 func loadgenUniverse(dsName string, rows, universe int, seed int64) ([]string, error) {
@@ -184,7 +186,7 @@ func loadgenUniverse(dsName string, rows, universe int, seed int64) ([]string, e
 	lines := make([]string, 0, len(wl.Queries))
 	seen := make(map[string]bool, len(wl.Queries))
 	for _, lq := range wl.Queries {
-		line := workload.QueryText(lq.Query)
+		line := workload.QueryText(workload.Canonicalize(lq.Query))
 		if line == "" || seen[line] {
 			continue
 		}

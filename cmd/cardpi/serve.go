@@ -255,18 +255,23 @@ func artifactFlagConflicts(fs *flag.FlagSet) error {
 	return nil
 }
 
-// loadArtifactSetup opens and loads a bundle written by `cardpi train`.
+// loadArtifactSetup opens and loads a bundle written by `cardpi train`
+// through the mapped loader the registry uses. The Setup owns only heap
+// memory, so the mapping is dropped right after Load and the file's pages
+// do not stay resident.
 func loadArtifactSetup(path string, opts pipeline.LoadOptions) (*pipeline.Setup, *pipeline.Manifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	setup, man, err := pipeline.LoadBundle(f, opts)
+	mb, err := pipeline.OpenMapped(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("load artifact %s: %w", path, err)
 	}
-	return setup, man, nil
+	setup, err := mb.Load(opts)
+	if cerr := mb.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("load artifact %s: %w", path, err)
+	}
+	return setup, mb.Manifest(), nil
 }
 
 // modelSource records where the serving model came from — trained in-process

@@ -746,7 +746,6 @@ func TestServeOneForwardPerComputedRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lcp.SetAppendFeatures(pipeline.AppendFeaturizer(setup.Table))
 		setup.Model, setup.PI = model, lcp
 		forwardCase(t, setup, model, 1)
 	})

@@ -74,68 +74,37 @@ func TestOperationsDocCoversRegistrySurface(t *testing.T) {
 	}
 }
 
-// TestObservabilityDocCoversRecalSurface does the same for the closed-loop
-// recalibration supervisor: every cardpi_recal_* metric family created in
-// code must appear in OBSERVABILITY.md.
-func TestObservabilityDocCoversRecalSurface(t *testing.T) {
-	metrics := sourceMatches(t, regexp.MustCompile(`cardpi_recal_[a-z_]+`), "internal/recal", "cmd/cardpi")
-	if len(metrics) == 0 {
-		t.Fatal("surface scan found no cardpi_recal_* families — the scanner is broken")
-	}
-	observability := readDoc(t, "OBSERVABILITY.md")
-	for _, m := range metrics {
-		if !strings.Contains(observability, m) {
-			t.Errorf("OBSERVABILITY.md does not document recalibration metric %s", m)
-		}
-	}
-}
-
-// TestObservabilityDocCoversAdaptiveSurface does the same for the drift and
-// served-coverage monitor: every cardpi_adaptive_* metric family created in
-// the root package (Monitor, Adaptive) or by cmd/cardpi must appear in
-// OBSERVABILITY.md.
-func TestObservabilityDocCoversAdaptiveSurface(t *testing.T) {
-	metrics := sourceMatches(t, regexp.MustCompile(`cardpi_adaptive_[a-z_]+`), ".", "cmd/cardpi")
-	if len(metrics) == 0 {
-		t.Fatal("surface scan found no cardpi_adaptive_* families — the scanner is broken")
-	}
-	observability := readDoc(t, "OBSERVABILITY.md")
-	for _, m := range metrics {
-		if !strings.Contains(observability, m) {
-			t.Errorf("OBSERVABILITY.md does not document adaptive monitor metric %s", m)
-		}
-	}
-}
-
-// TestObservabilityDocCoversSynthSurface does the same for the estimator
-// synthesis meta-search: every cardpi_synth_* metric family created in code
-// must appear in OBSERVABILITY.md.
-func TestObservabilityDocCoversSynthSurface(t *testing.T) {
-	metrics := sourceMatches(t, regexp.MustCompile(`cardpi_synth_[a-z_]+`), "internal/synth", "cmd/cardpi")
-	if len(metrics) == 0 {
-		t.Fatal("surface scan found no cardpi_synth_* families — the scanner is broken")
-	}
-	observability := readDoc(t, "OBSERVABILITY.md")
-	for _, m := range metrics {
-		if !strings.Contains(observability, m) {
-			t.Errorf("OBSERVABILITY.md does not document synthesis metric %s", m)
-		}
-	}
-}
-
-// TestObservabilityDocCoversCacheSurface does the same for the serving-layer
-// interval cache: every cardpi_cache_* metric family created in code must
-// appear in OBSERVABILITY.md.
-func TestObservabilityDocCoversCacheSurface(t *testing.T) {
-	metrics := sourceMatches(t, regexp.MustCompile(`cardpi_cache_[a-z_]+`), "internal/cache", "cmd/cardpi")
-	if len(metrics) == 0 {
-		t.Fatal("surface scan found no cardpi_cache_* families — the scanner is broken")
-	}
-	observability := readDoc(t, "OBSERVABILITY.md")
-	for _, m := range metrics {
-		if !strings.Contains(observability, m) {
-			t.Errorf("OBSERVABILITY.md does not document cache metric %s", m)
-		}
+// TestObservabilityDocCoversSurface does the same for the other metric
+// surfaces, one subtest each: every cardpi_<surface>_* metric family named
+// in the surface's source directories must appear in OBSERVABILITY.md.
+func TestObservabilityDocCoversSurface(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		re   string
+		dirs []string
+		what string
+	}{
+		// The closed-loop recalibration supervisor.
+		{"recal", `cardpi_recal_[a-z_]+`, []string{"internal/recal", "cmd/cardpi"}, "recalibration"},
+		// The drift and served-coverage monitor (Monitor, Adaptive).
+		{"adaptive", `cardpi_adaptive_[a-z_]+`, []string{".", "cmd/cardpi"}, "adaptive monitor"},
+		// The estimator synthesis meta-search.
+		{"synth", `cardpi_synth_[a-z_]+`, []string{"internal/synth", "cmd/cardpi"}, "synthesis"},
+		// The serving-layer interval cache.
+		{"cache", `cardpi_cache_[a-z_]+`, []string{"internal/cache", "cmd/cardpi"}, "cache"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			metrics := sourceMatches(t, regexp.MustCompile(tc.re), tc.dirs...)
+			if len(metrics) == 0 {
+				t.Fatalf("surface scan found no cardpi_%s_* families — the scanner is broken", tc.name)
+			}
+			observability := readDoc(t, "OBSERVABILITY.md")
+			for _, m := range metrics {
+				if !strings.Contains(observability, m) {
+					t.Errorf("OBSERVABILITY.md does not document %s metric %s", tc.what, m)
+				}
+			}
+		})
 	}
 }
 

@@ -39,8 +39,7 @@ func main() {
 	}
 	train, cal, test := parts[0], parts[1], parts[2]
 
-	feat := estimator.NewFeaturizer(tab)
-	feats := func(q workload.Query) []float64 { return feat.Featurize(q) }
+	feats := estimator.NewFeaturizer(tab).AppendFeaturize
 
 	fmt.Printf("%-8s %-9s %-9s %-11s %s\n", "model", "method", "coverage", "meanWidth", "latency")
 

@@ -46,7 +46,7 @@ func TestServingUnitTakesGroupLayout(t *testing.T) {
 	feat := pipeline.Featurizer(setup.Table)
 	for name, l := range map[string]*conformal.Localized{"calibrated": lcp, "rehydrated": rehydrated} {
 		for i, lq := range probes.Queries {
-			if !l.TakesGroupLayout(feat(lq.Query)) {
+			if !l.TakesGroupLayout(feat(lq.Query, nil)) {
 				t.Fatalf("%s: probe %d (%v) does not take the selection strategy over the group layout", name, i, lq.Query)
 			}
 		}
@@ -57,7 +57,7 @@ func TestServingUnitTakesGroupLayout(t *testing.T) {
 		if conformal.RaceEnabled {
 			continue
 		}
-		q, out := [][]float64{feat(probes.Queries[0].Query)}, make([]float64, 1)
+		q, out := [][]float64{feat(probes.Queries[0].Query, nil)}, make([]float64, 1)
 		if err := l.Deltas(q, out); err != nil { // warm the scratch pool
 			t.Fatal(err)
 		}

@@ -8,11 +8,11 @@ import (
 	"cardpi/internal/codec"
 )
 
-// Calibration-state checkpointing. Every calibrated predictor in this
-// package — SplitCP, LocallyWeighted, CQR, Localized, Mondrian, and
-// JackknifeCV — round-trips through a stream so the one-time offline
-// calibration can be frozen into an artifact and rehydrated at serve time
-// without touching the calibration workload again. Loaded predictors are
+// Calibration-state checkpointing. Every calibrated predictor a servable
+// method uses — SplitCP, LocallyWeighted, CQR, Localized and Mondrian —
+// round-trips through a stream so the one-time offline calibration can be
+// frozen into an artifact and rehydrated at serve time without touching the
+// calibration workload again. Loaded predictors are
 // bit-identical to the originals: every threshold, score list, and feature
 // vector is preserved exactly (IEEE-754 float64 wire format), and loads
 // re-validate shapes (lengths, fold ranges, alpha domain) so corrupt input
@@ -30,7 +30,6 @@ var (
 	cqrMagic      = [4]byte{'C', 'Q', 'R', '1'}
 	localMagic    = [4]byte{'C', 'L', 'C', '1'}
 	mondrianMagic = [4]byte{'C', 'M', 'D', '1'}
-	jackMagic     = [4]byte{'C', 'J', 'K', '1'}
 )
 
 // maxCalPoints bounds decoded calibration-set sizes as a corruption guard.
@@ -292,62 +291,4 @@ func ReadMondrian(r io.Reader) (*Mondrian, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// WriteTo serialises the Jackknife+ state: the K-fold residuals and fold
-// assignment the interval constructions are computed from.
-func (j *JackknifeCV) WriteTo(w io.Writer) (int64, error) {
-	cw := codec.NewWriter(w)
-	cw.Raw(jackMagic[:])
-	cw.F64(j.Alpha)
-	cw.U32(uint32(j.k))
-	cw.F64s(j.residuals)
-	cw.Ints(j.foldOf)
-	return cw.Len(), cw.Err()
-}
-
-// ReadJackknifeCV deserialises a predictor written by
-// (*JackknifeCV).WriteTo. The calibrated Delta and the per-fold sorted
-// residual lists are recomputed from the stored residuals, so a loaded
-// predictor is bit-identical to the original.
-func ReadJackknifeCV(r io.Reader) (*JackknifeCV, error) {
-	cr := codec.NewReader(r)
-	if err := readMagic(cr, jackMagic, "Jackknife-CV"); err != nil {
-		return nil, err
-	}
-	alpha := cr.F64()
-	k := int(cr.U32())
-	residuals := cr.F64s(maxCalPoints)
-	foldOf := cr.Ints(maxCalPoints)
-	if err := cr.Err(); err != nil {
-		return nil, fmt.Errorf("conformal: reading Jackknife-CV: %w", err)
-	}
-	if err := checkAlpha(alpha); err != nil {
-		return nil, err
-	}
-	if len(residuals) != len(foldOf) {
-		return nil, fmt.Errorf("conformal: Jackknife-CV has %d residuals but %d fold assignments", len(residuals), len(foldOf))
-	}
-	if k < 2 {
-		return nil, fmt.Errorf("conformal: Jackknife-CV needs K >= 2 folds, got %d", k)
-	}
-	for i, f := range foldOf {
-		if f < 0 || f >= k {
-			return nil, fmt.Errorf("conformal: Jackknife-CV fold index %d of point %d outside [0,%d)", f, i, k)
-		}
-	}
-	delta, err := Quantile(residuals, alpha)
-	if err != nil {
-		return nil, fmt.Errorf("conformal: recomputing Jackknife-CV delta: %w", err)
-	}
-	j := &JackknifeCV{Alpha: alpha, Delta: delta, residuals: residuals, foldOf: foldOf, k: k}
-	j.byFold = make([][]float64, k)
-	for i, res := range residuals {
-		f := foldOf[i]
-		j.byFold[f] = append(j.byFold[f], res)
-	}
-	for _, fr := range j.byFold {
-		sort.Float64s(fr)
-	}
-	return j, nil
 }

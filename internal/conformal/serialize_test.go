@@ -157,47 +157,6 @@ func TestMondrianRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJackknifeCVRoundTrip(t *testing.T) {
-	preds, truths := calData(150, 6)
-	k := 5
-	foldOf := make([]int, len(preds))
-	for i := range foldOf {
-		foldOf[i] = i % k
-	}
-	j, err := CalibrateJackknifeCV(preds, truths, foldOf, k, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := j.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadJackknifeCV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Delta != j.Delta || loaded.Alpha != j.Alpha {
-		t.Fatal("round-trip changed calibration")
-	}
-	foldPreds := make([]float64, k)
-	for _, p := range preds {
-		if j.IntervalSimple(p) != loaded.IntervalSimple(p) {
-			t.Fatal("round-trip changed simple intervals")
-		}
-		for f := range foldPreds {
-			foldPreds[f] = p * (1 + 0.01*float64(f))
-		}
-		a, err1 := j.IntervalCV(foldPreds)
-		b, err2 := loaded.IntervalCV(foldPreds)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if a != b {
-			t.Fatal("round-trip changed CV+ intervals")
-		}
-	}
-}
-
 type fakeScore struct{ ResidualScore }
 
 func (fakeScore) Name() string { return "custom" }
@@ -225,29 +184,5 @@ func TestReadRejectsWrongPredictorType(t *testing.T) {
 	}
 	if _, err := ReadCQR(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("split-CP bytes accepted as CQR")
-	}
-}
-
-func TestReadJackknifeRejectsBadFold(t *testing.T) {
-	preds, truths := calData(60, 8)
-	k := 3
-	foldOf := make([]int, len(preds))
-	for i := range foldOf {
-		foldOf[i] = i % k
-	}
-	j, err := CalibrateJackknifeCV(preds, truths, foldOf, k, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := j.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the stored fold count (little-endian u32 right after the
-	// 4-byte magic and 8-byte alpha) so assignments fall out of range.
-	b := buf.Bytes()
-	b[12], b[13], b[14], b[15] = 2, 0, 0, 0 // 3 folds -> 2
-	if _, err := ReadJackknifeCV(bytes.NewReader(b)); err == nil {
-		t.Fatal("out-of-range fold assignments accepted")
 	}
 }

@@ -210,7 +210,17 @@ func (jf *JoinFeaturizer) Dim() int { return jf.dim }
 // Featurize encodes a join query (single-table queries encode as the center
 // table alone).
 func (jf *JoinFeaturizer) Featurize(q workload.Query) []float64 {
-	out := make([]float64, jf.dim)
+	return jf.AppendFeaturize(q, make([]float64, 0, jf.dim))
+}
+
+// AppendFeaturize appends the Dim() feature values for q to dst and returns
+// the extended slice — the allocation-free form of Featurize. The appended
+// values are bit-identical to Featurize(q); when dst has spare capacity no
+// heap allocation occurs. Safe for concurrent use.
+func (jf *JoinFeaturizer) AppendFeaturize(q workload.Query, dst []float64) []float64 {
+	start := len(dst)
+	dst = append(dst, make([]float64, jf.dim)...)
+	out := dst[start:]
 	// Default every column to the full range.
 	for _, name := range jf.tables {
 		t := jf.schema.Table(name)
@@ -247,7 +257,7 @@ func (jf *JoinFeaturizer) Featurize(q workload.Query) []float64 {
 	}
 	if !q.IsJoin() {
 		encode(jf.schema.Center.Name, q.Preds)
-		return out
+		return dst
 	}
 	for _, jt := range q.Join.Tables {
 		for ti, name := range jf.tables {
@@ -259,7 +269,7 @@ func (jf *JoinFeaturizer) Featurize(q workload.Query) []float64 {
 	for name, preds := range q.Join.Preds {
 		encode(name, preds)
 	}
-	return out
+	return dst
 }
 
 func normalise(v int64, c *dataset.Column) float64 {

@@ -369,9 +369,10 @@ func Fig12(s Scale) (*Report, error) {
 	return r, nil
 }
 
+// kitFeatures is the flat single-table featurizer every single-table kit's
+// feature-based wrappers use.
 func kitFeatures(d *singleTableData) cardpi.FeatureFunc {
-	ft := estimator.NewFeaturizer(d.table)
-	return func(q workload.Query) []float64 { return ft.Featurize(q) }
+	return estimator.NewFeaturizer(d.table).AppendFeaturize
 }
 
 // Fig13 reproduces Figure 13: classifier accuracy vs PI tightness. MSCN

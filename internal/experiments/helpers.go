@@ -124,8 +124,7 @@ func kitMSCN(d *singleTableData, s Scale, withQuantiles bool) (*modelKit, error)
 		c.Seed = seed
 		return mscn.Train(f, wl, c)
 	}
-	ft := estimator.NewFeaturizer(d.table)
-	kit.feats = func(q workload.Query) []float64 { return ft.Featurize(q) }
+	kit.feats = kitFeatures(d)
 	return kit, nil
 }
 
@@ -154,8 +153,7 @@ func kitMSCNJoins(sch *dataset.Schema, train *workload.Workload, s Scale, withQu
 		c.Seed = seed
 		return mscn.Train(f, wl, c)
 	}
-	jf := estimator.NewJoinFeaturizer(sch)
-	kit.feats = func(q workload.Query) []float64 { return jf.Featurize(q) }
+	kit.feats = estimator.NewJoinFeaturizer(sch).AppendFeaturize
 	return kit, nil
 }
 
@@ -183,8 +181,7 @@ func kitLWNN(d *singleTableData, s Scale, withQuantiles bool) (*modelKit, error)
 		c.Seed = seed
 		return lwnn.Train(d.table, wl, c)
 	}
-	ft := estimator.NewFeaturizer(d.table)
-	kit.feats = func(q workload.Query) []float64 { return ft.Featurize(q) }
+	kit.feats = kitFeatures(d)
 	return kit, nil
 }
 
@@ -199,8 +196,7 @@ func kitNaru(d *singleTableData, s Scale, withFolds bool) (*modelKit, error) {
 		return nil, err
 	}
 	kit := &modelKit{name: "naru", model: m}
-	ft := estimator.NewFeaturizer(d.table)
-	kit.feats = func(q workload.Query) []float64 { return ft.Featurize(q) }
+	kit.feats = kitFeatures(d)
 	if !withFolds {
 		return kit, nil
 	}

@@ -680,23 +680,13 @@ func loadPI(man *Manifest, sections map[string][]byte, m cardpi.Estimator, tab *
 		if err != nil {
 			return nil, err
 		}
-		lws, err := cardpi.NewLocallyWeightedFrom(m, lw, g, Featurizer(tab), beta)
-		if err != nil {
-			return nil, err
-		}
-		lws.SetAppendFeatures(AppendFeaturizer(tab))
-		return lws, nil
+		return cardpi.NewLocallyWeightedFrom(m, lw, g, Featurizer(tab), beta)
 	case "lcp":
 		lcp, err := conformal.ReadLocalized(calR)
 		if err != nil {
 			return nil, err
 		}
-		lcpw, err := cardpi.NewLocalizedFrom(m, lcp, Featurizer(tab))
-		if err != nil {
-			return nil, err
-		}
-		lcpw.SetAppendFeatures(AppendFeaturizer(tab))
-		return lcpw, nil
+		return cardpi.NewLocalizedFrom(m, lcp, Featurizer(tab))
 	case "mondrian":
 		mon, err := conformal.ReadMondrian(calR)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"cardpi"
 	"cardpi/internal/dataset"
-	"cardpi/internal/estimator"
 	"cardpi/internal/mscn"
 	"cardpi/internal/workload"
 )
@@ -155,27 +154,20 @@ func (c Config) calibrateKey() string {
 }
 
 // Featurized bundles the per-table query featurizers the Featurize stage
-// produces: the slice-returning and append-style generic featurizers (used
-// by the lw-s-cp and lcp wrappers) and the MSCN set featurizer (used by
-// mscn point and quantile training). All three are stateless after
-// construction and safe to share across concurrent trials.
+// produces: the generic featurizer (used by the lw-s-cp and lcp wrappers)
+// and the MSCN set featurizer (used by mscn point and quantile training).
+// Both are stateless after construction and safe to share across
+// concurrent trials.
 type Featurized struct {
-	// FF is the generic query-feature function bound to the table.
-	FF cardpi.FeatureFunc
-	// AFF is the allocation-free append form of FF.
-	AFF cardpi.AppendFeatureFunc
+	// Feats is the generic query-feature function bound to the table.
+	Feats cardpi.FeatureFunc
 	// MSCN is the set featurizer for the mscn family.
 	MSCN *mscn.Featurizer
 }
 
 // newFeaturized constructs the featurizer bundle for a table.
 func newFeaturized(tab *dataset.Table) *Featurized {
-	feat := estimator.NewFeaturizer(tab)
-	return &Featurized{
-		FF:   func(q workload.Query) []float64 { return feat.Featurize(q) },
-		AFF:  func(q workload.Query, dst []float64) []float64 { return feat.AppendFeaturize(q, dst) },
-		MSCN: mscn.NewSingleFeaturizer(tab),
-	}
+	return &Featurized{Feats: Featurizer(tab), MSCN: mscn.NewSingleFeaturizer(tab)}
 }
 
 // Table runs (or replays) the LoadTable stage for cfg.

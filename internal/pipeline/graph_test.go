@@ -53,20 +53,10 @@ func legacyBuildPI(cfg Config, m cardpi.Estimator, tab *dataset.Table, train, ca
 	case "s-cp":
 		return cardpi.WrapSplitCP(m, cal, conformal.ResidualScore{}, cfg.Alpha)
 	case "lw-s-cp":
-		lw, err := cardpi.WrapLocallyWeighted(m, train, cal, ff, conformal.ResidualScore{}, cfg.Alpha,
+		return cardpi.WrapLocallyWeighted(m, train, cal, ff, conformal.ResidualScore{}, cfg.Alpha,
 			gbm.Config{NumTrees: 60, MaxDepth: 4, Seed: cfg.Seed + gbmSeedOff})
-		if err != nil {
-			return nil, err
-		}
-		lw.SetAppendFeatures(AppendFeaturizer(tab))
-		return lw, nil
 	case "lcp":
-		lcp, err := cardpi.WrapLocalized(m, cal, ff, conformal.ResidualScore{}, cfg.Alpha, len(cal.Queries)/localizedKDiv)
-		if err != nil {
-			return nil, err
-		}
-		lcp.SetAppendFeatures(AppendFeaturizer(tab))
-		return lcp, nil
+		return cardpi.WrapLocalized(m, cal, ff, conformal.ResidualScore{}, cfg.Alpha, len(cal.Queries)/localizedKDiv)
 	case "mondrian":
 		return cardpi.WrapMondrian(m, cal, PredCountGroup, conformal.ResidualScore{}, cfg.Alpha, mondrianMinGroup)
 	case "cqr":

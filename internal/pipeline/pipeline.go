@@ -265,17 +265,7 @@ func EvalWorkload(tab *dataset.Table, count int, seed int64) (*workload.Workload
 // use, bound to the table. The artifact loader rebuilds the identical
 // function from the reloaded table.
 func Featurizer(tab *dataset.Table) cardpi.FeatureFunc {
-	feat := estimator.NewFeaturizer(tab)
-	return func(q workload.Query) []float64 { return feat.Featurize(q) }
-}
-
-// AppendFeaturizer returns the allocation-free form of Featurizer for the
-// same table: values appended for a query are bit-identical to what
-// Featurizer produces, so the two can back one wrapper interchangeably (see
-// cardpi.AppendFeatureFunc).
-func AppendFeaturizer(tab *dataset.Table) cardpi.AppendFeatureFunc {
-	feat := estimator.NewFeaturizer(tab)
-	return func(q workload.Query, dst []float64) []float64 { return feat.AppendFeaturize(q, dst) }
+	return estimator.NewFeaturizer(tab).AppendFeaturize
 }
 
 // PredCountGroup is the Mondrian grouping of the single-table demo: queries
@@ -300,20 +290,10 @@ func buildPI(cfg Config, m cardpi.Estimator, tab *dataset.Table, train, cal *wor
 		return cardpi.WrapSplitCP(m, cal, conformal.ResidualScore{}, cfg.Alpha)
 	case "lw-s-cp":
 		noteTraining("difficulty/gbm")
-		lw, err := cardpi.WrapLocallyWeighted(m, train, cal, fz.FF, conformal.ResidualScore{}, cfg.Alpha,
+		return cardpi.WrapLocallyWeighted(m, train, cal, fz.Feats, conformal.ResidualScore{}, cfg.Alpha,
 			gbm.Config{NumTrees: 60, MaxDepth: 4, Seed: cfg.Seed + gbmSeedOff})
-		if err != nil {
-			return nil, err
-		}
-		lw.SetAppendFeatures(fz.AFF)
-		return lw, nil
 	case "lcp":
-		lcp, err := cardpi.WrapLocalized(m, cal, fz.FF, conformal.ResidualScore{}, cfg.Alpha, len(cal.Queries)/cfg.kDiv())
-		if err != nil {
-			return nil, err
-		}
-		lcp.SetAppendFeatures(fz.AFF)
-		return lcp, nil
+		return cardpi.WrapLocalized(m, cal, fz.Feats, conformal.ResidualScore{}, cfg.Alpha, len(cal.Queries)/cfg.kDiv())
 	case "mondrian":
 		return cardpi.WrapMondrian(m, cal, PredCountGroup, conformal.ResidualScore{}, cfg.Alpha, cfg.minGroup())
 	case "cqr":

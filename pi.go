@@ -130,17 +130,13 @@ func (s *SplitCP) Interval(q workload.Query) (Interval, error) {
 // Delta exposes the calibrated threshold (useful for optimizer injection).
 func (s *SplitCP) Delta() float64 { return s.cp.Delta }
 
-// FeatureFunc maps a query to the feature vector the difficulty model g(X)
-// of locally weighted conformal prediction consumes.
-type FeatureFunc func(q workload.Query) []float64
-
-// AppendFeatureFunc is the allocation-free form of FeatureFunc: it appends
-// the query's feature values to dst and returns the extended slice, exactly
-// as append does. The appended values must be bit-identical to the
-// wrapper's FeatureFunc for the same query, and implementations must be
-// safe for concurrent calls — the batch path invokes them from multiple
-// row-block workers, each with its own destination block.
-type AppendFeatureFunc func(q workload.Query, dst []float64) []float64
+// FeatureFunc appends the feature vector that the difficulty model g(X) of
+// locally weighted conformal prediction (and the locality of localized and
+// weighted conformal prediction) consumes for q to dst, and returns the
+// extended slice, exactly as append does. Implementations must be safe for
+// concurrent calls: the batch path invokes them from multiple row-block
+// workers, each with its own destination block.
+type FeatureFunc func(q workload.Query, dst []float64) []float64
 
 // LocallyWeighted wraps a model with locally weighted split conformal
 // prediction; difficulty U(X) is estimated by gradient-boosted trees fitted
@@ -157,18 +153,7 @@ type LocallyWeighted struct {
 	// mean training residual, the usual stabilisation for normalised
 	// non-conformity scores.
 	beta float64
-	// appendFeats, when set, is the allocation-free featurizer the batch
-	// path uses instead of feats (see SetAppendFeatures).
-	appendFeats AppendFeatureFunc
 }
-
-// SetAppendFeatures installs the allocation-free featurizer IntervalBatch
-// uses to pack feature rows into one pooled flat block instead of
-// allocating a vector per query. af must append values bit-identical to the
-// wrapper's FeatureFunc and be safe for concurrent calls; nil restores the
-// per-query fallback. Call before serving batches — the setter itself is
-// not synchronised with concurrent IntervalBatch calls.
-func (l *LocallyWeighted) SetAppendFeatures(af AppendFeatureFunc) { l.appendFeats = af }
 
 // WrapLocallyWeighted fits the difficulty model on resWL (typically the
 // model's own training workload, per Algorithm 3) and calibrates on cal.
@@ -185,7 +170,7 @@ func WrapLocallyWeighted(model Estimator, resWL, cal *workload.Workload, feats F
 	y := make([]float64, len(resWL.Queries))
 	var meanRes float64
 	for i, lq := range resWL.Queries {
-		X[i] = feats(lq.Query)
+		X[i] = feats(lq.Query, nil)
 		y[i] = score.Of(model.EstimateSelectivity(lq.Query), lq.Sel)
 		meanRes += y[i]
 	}
@@ -204,7 +189,7 @@ func WrapLocallyWeighted(model Estimator, resWL, cal *workload.Workload, feats F
 	for i, lq := range cal.Queries {
 		preds[i] = model.EstimateSelectivity(lq.Query)
 		truths[i] = lq.Sel
-		u[i] = difficulty(g, feats(lq.Query), beta)
+		u[i] = difficulty(g, feats(lq.Query, nil), beta)
 	}
 	lw, err := conformal.CalibrateLocallyWeighted(preds, truths, u, score, alpha)
 	if err != nil {
@@ -229,9 +214,13 @@ func (l *LocallyWeighted) estimateModel() Estimator { return l.model }
 // Name implements PI.
 func (l *LocallyWeighted) Name() string { return "lw-s-cp/" + l.model.Name() }
 
-// Interval implements PI.
+// Interval implements PI. The features land in a pooled buffer, so the
+// scalar path allocates no feature vector.
 func (l *LocallyWeighted) Interval(q workload.Query) (Interval, error) {
-	u := difficulty(l.g, l.feats(q), l.beta)
+	fs := featPool.Get().(*featScratch)
+	defer featPool.Put(fs)
+	fs.flat = l.feats(q, fs.flat[:0])
+	u := difficulty(l.g, fs.flat, l.beta)
 	return clip(l.lw.Interval(l.model.EstimateSelectivity(q), u)), nil
 }
 
@@ -279,18 +268,7 @@ type Localized struct {
 	model Estimator
 	lcp   *conformal.Localized
 	feats FeatureFunc
-	// appendFeats, when set, is the allocation-free featurizer the batch
-	// path uses instead of feats (see SetAppendFeatures).
-	appendFeats AppendFeatureFunc
 }
-
-// SetAppendFeatures installs the allocation-free featurizer IntervalBatch
-// uses to pack feature rows into one pooled flat block instead of
-// allocating a vector per query. af must append values bit-identical to the
-// wrapper's FeatureFunc and be safe for concurrent calls; nil restores the
-// per-query fallback. Call before serving batches — the setter itself is
-// not synchronised with concurrent IntervalBatch calls.
-func (l *Localized) SetAppendFeatures(af AppendFeatureFunc) { l.appendFeats = af }
 
 // WrapLocalized calibrates localized conformal prediction with a
 // k-nearest-neighbour locality over the feature space.
@@ -303,7 +281,7 @@ func WrapLocalized(model Estimator, cal *workload.Workload, feats FeatureFunc,
 	preds := make([]float64, len(cal.Queries))
 	truths := make([]float64, len(cal.Queries))
 	for i, lq := range cal.Queries {
-		fv[i] = feats(lq.Query)
+		fv[i] = feats(lq.Query, nil)
 		preds[i] = model.EstimateSelectivity(lq.Query)
 		truths[i] = lq.Sel
 	}
@@ -321,20 +299,14 @@ func (l *Localized) estimateModel() Estimator { return l.model }
 func (l *Localized) Name() string { return "lcp/" + l.model.Name() }
 
 // Interval implements PI. It is IntervalBatch's kernel applied to one row:
-// the features land in a pooled buffer when an AppendFeatureFunc is set, and
-// the neighbours come from the calibration-time index, so the result is
-// bit-identical to the query's IntervalBatch row.
+// the features land in a pooled buffer and the neighbours come from the
+// calibration-time index, so the result is bit-identical to the query's
+// IntervalBatch row.
 func (l *Localized) Interval(q workload.Query) (Interval, error) {
-	var feat []float64
-	if l.appendFeats == nil {
-		feat = l.feats(q)
-	} else {
-		fs := featPool.Get().(*featScratch)
-		defer featPool.Put(fs)
-		fs.flat = l.appendFeats(q, fs.flat[:0])
-		feat = fs.flat
-	}
-	iv, err := l.lcp.Interval(feat, l.model.EstimateSelectivity(q))
+	fs := featPool.Get().(*featScratch)
+	defer featPool.Put(fs)
+	fs.flat = l.feats(q, fs.flat[:0])
+	iv, err := l.lcp.Interval(fs.flat, l.model.EstimateSelectivity(q))
 	if err != nil {
 		return Interval{}, err
 	}
@@ -356,18 +328,7 @@ type Weighted struct {
 	feats  FeatureFunc
 	nCal   float64
 	nShift float64
-	// appendFeats, when set, is the allocation-free featurizer the batch
-	// path uses instead of feats (see SetAppendFeatures).
-	appendFeats AppendFeatureFunc
 }
-
-// SetAppendFeatures installs the allocation-free featurizer IntervalBatch
-// uses to featurise each row-block into a per-worker reused buffer instead
-// of allocating a vector per query. af must append values bit-identical to
-// the wrapper's FeatureFunc and be safe for concurrent calls; nil restores
-// the per-query fallback. Call before serving batches — the setter itself
-// is not synchronised with concurrent IntervalBatch calls.
-func (w *Weighted) SetAppendFeatures(af AppendFeatureFunc) { w.appendFeats = af }
 
 // WrapWeighted fits the domain classifier on cal (label 0) vs shiftSample
 // (label 1, truths unused) and calibrates the weighted conformal predictor.
@@ -382,11 +343,11 @@ func WrapWeighted(model Estimator, cal, shiftSample *workload.Workload, feats Fe
 	var X [][]float64
 	var y []float64
 	for _, lq := range cal.Queries {
-		X = append(X, feats(lq.Query))
+		X = append(X, feats(lq.Query, nil))
 		y = append(y, 0)
 	}
 	for _, lq := range shiftSample.Queries {
-		X = append(X, feats(lq.Query))
+		X = append(X, feats(lq.Query, nil))
 		y = append(y, 1)
 	}
 	ratio, err := gbm.Fit(X, y, gcfg)
@@ -416,18 +377,11 @@ func WrapWeighted(model Estimator, cal, shiftSample *workload.Workload, feats Fe
 	return w, nil
 }
 
-// likelihoodRatio featurises the query once and delegates to
-// likelihoodRatioFrom.
-func (w *Weighted) likelihoodRatio(q workload.Query) float64 {
-	return w.likelihoodRatioFrom(w.feats(q))
-}
-
 // likelihoodRatioFrom converts the domain classifier's output p(x) =
 // P(shifted) into the density ratio dP_shift/dP_cal, correcting for the
 // class sizes and clamping to keep one misclassified point from dominating
-// the weights. Taking the feature vector lets callers that already hold one
-// (calibration over the classifier's own training rows) avoid featurising
-// the query twice.
+// the weights. It takes the feature vector, so calibration reuses the
+// classifier's own training rows instead of featurising a query twice.
 func (w *Weighted) likelihoodRatioFrom(x []float64) float64 {
 	p := w.ratio.Predict(x)
 	const eps = 0.01
@@ -447,9 +401,14 @@ func (w *Weighted) estimateModel() Estimator { return w.model }
 func (w *Weighted) Name() string { return "weighted-cp/" + w.model.Name() }
 
 // Interval implements PI. Infinite thresholds (calibration uninformative for
-// this query under the shift) clip to the trivial [0, 1] interval.
+// this query under the shift) clip to the trivial [0, 1] interval. The
+// features land in a pooled buffer, so the scalar path allocates no feature
+// vector.
 func (w *Weighted) Interval(q workload.Query) (Interval, error) {
-	iv, err := w.wcp.Interval(w.model.EstimateSelectivity(q), w.likelihoodRatio(q))
+	fs := featPool.Get().(*featScratch)
+	defer featPool.Put(fs)
+	fs.flat = w.feats(q, fs.flat[:0])
+	iv, err := w.wcp.Interval(w.model.EstimateSelectivity(q), w.likelihoodRatioFrom(fs.flat))
 	if err != nil {
 		return Interval{}, err
 	}

@@ -28,8 +28,7 @@ func fixture(t *testing.T) (Estimator, FeatureFunc, *workload.Workload, *workloa
 	}
 	model := histogram.NewSingle(tab, histogram.Config{})
 	feat := estimator.NewFeaturizer(tab)
-	ff := func(q workload.Query) []float64 { return feat.Featurize(q) }
-	return model, ff, parts[0], parts[1], parts[2]
+	return model, feat.AppendFeaturize, parts[0], parts[1], parts[2]
 }
 
 func TestWrapSplitCPCoverage(t *testing.T) {
@@ -273,5 +272,37 @@ func TestWrapWeightedNoShiftBehavesLikeSplit(t *testing.T) {
 	}
 	if ev.Coverage < 0.84 {
 		t.Fatalf("no-shift weighted coverage %v", ev.Coverage)
+	}
+}
+
+// TestScalarFeaturizingIntervalAllocs guards the scalar featurizing paths:
+// lw-s-cp and weighted-cp featurize into the pooled buffer, so one Interval
+// allocates no more than the bare model's EstimateSelectivity on the same
+// query.
+func TestScalarFeaturizingIntervalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	model, ff, train, cal, test := fixture(t)
+	q := test.Queries[0].Query
+	gcfg := gbm.Config{NumTrees: 5, Seed: 1}
+	lw, err := WrapLocallyWeighted(model, train, cal, ff, conformal.ResidualScore{}, 0.1, gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := WrapWeighted(model, cal, test, ff, conformal.ResidualScore{}, 0.1, gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := testing.AllocsPerRun(200, func() { model.EstimateSelectivity(q) })
+	for name, pi := range map[string]PI{"lw-s-cp": lw, "weighted-cp": w} {
+		n := testing.AllocsPerRun(200, func() {
+			if _, err := pi.Interval(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > base {
+			t.Errorf("%s: Interval allocates %v/call, the bare model %v", name, n, base)
+		}
 	}
 }

@@ -91,17 +91,3 @@ func NewMondrianFrom(model Estimator, cal *conformal.Mondrian, group GroupFunc) 
 	}
 	return &Mondrian{model: model, m: cal, group: group}, nil
 }
-
-// Calibration exposes the frozen conformal state for artifact serialisation.
-func (j *JackknifeCV) Calibration() *conformal.JackknifeCV { return j.jk }
-
-// NewJackknifeCVFrom reassembles a Jackknife+ wrapper from the full-data
-// model and previously calibrated fold residuals. folds may be nil (the
-// artifact bundle stores only the full model): Interval works unchanged,
-// while IntervalCV — which needs the K fold models — reports an error.
-func NewJackknifeCVFrom(full Estimator, folds []Estimator, jk *conformal.JackknifeCV) (*JackknifeCV, error) {
-	if full == nil || jk == nil {
-		return nil, fmt.Errorf("cardpi: rehydrating Jackknife+: nil model or calibration")
-	}
-	return &JackknifeCV{full: full, folds: folds, jk: jk}, nil
-}
